@@ -1,6 +1,5 @@
 #include "csp/counting.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "csp/decomposition_solving.h"
@@ -102,15 +101,12 @@ long long CountRelationTree(const RelationTree& tree, ThreadPool* pool) {
       // The per-row multiplies are independent and the table is only
       // read, so the parent's rows fan out by morsel; each index is
       // written exactly once, keeping the products schedule-independent.
-      const int rows = rel.Size();
-      const int nm = (rows + kMorselRows - 1) / kMorselRows;
-      ParallelFor(nm, pool, [&rel, &weight, &agg, &pp, p, rows](int mi) {
-        const int lo = mi * kMorselRows;
-        const int hi = std::min(lo + kMorselRows, rows);
-        for (int t = lo; t < hi; ++t) {
-          weight[p][t] *= agg.Lookup(rel.Row(t), pp);
-        }
-      });
+      ForEachMorsel(rel.Size(), pool,
+                    [&rel, &weight, &agg, &pp, p](int, int lo, int hi) {
+                      for (int t = lo; t < hi; ++t) {
+                        weight[p][t] *= agg.Lookup(rel.Row(t), pp);
+                      }
+                    });
     }
   });
   long long total = 0;

@@ -3,9 +3,12 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <climits>
 #include <cstdlib>
 #include <mutex>
 
+#include "csp/tree_schedule.h"
 #include "util/check.h"
 
 namespace hypertree {
@@ -43,6 +46,29 @@ void SetMemoryBudget(long long bytes) {
   g_budget.store(bytes < 0 ? 0 : bytes, std::memory_order_relaxed);
 }
 
+int MorselCount(long rows) {
+  return static_cast<int>((rows + kMorselRows - 1) / kMorselRows);
+}
+
+Morsel MorselAt(int m, long rows) {
+  const long lo = static_cast<long>(m) * kMorselRows;
+  return {static_cast<int>(lo),
+          static_cast<int>(std::min<long>(lo + kMorselRows, rows))};
+}
+
+const int* MorselData(const Relation& r, int m) {
+  if (r.Arity() == 0 || r.Empty()) return r.data().data();
+  return r.Row(m * kMorselRows);
+}
+
+void ForEachMorsel(long rows, ThreadPool* pool,
+                   const std::function<void(int, int, int)>& visit) {
+  ParallelFor(MorselCount(rows), pool, [&visit, rows](int m) {
+    const Morsel b = MorselAt(m, rows);
+    visit(m, b.lo, b.hi);
+  });
+}
+
 bool ParseByteSize(const std::string& s, long long* out) {
   if (s.empty()) return false;
   size_t end = s.size();
@@ -65,6 +91,7 @@ bool ParseByteSize(const std::string& s, long long* out) {
     if (value > (1LL << 53)) return false;  // refuse absurd sizes
     value = value * 10 + (s[i] - '0');
   }
+  if (value > LLONG_MAX / mult) return false;  // the product would overflow
   *out = value * mult;
   return true;
 }
@@ -148,23 +175,16 @@ long ChunkedRelation::TotalRows() const {
 
 int ChunkedRelation::NumChunks() const {
   if (spilled_) return static_cast<int>(chunks_.size());
-  return static_cast<int>(
-      (static_cast<long>(rel_.Size()) + kMorselRows - 1) / kMorselRows);
+  return MorselCount(rel_.Size());
 }
 
 int ChunkedRelation::ChunkRows(int i) const {
   if (spilled_) return chunks_[static_cast<size_t>(i)].rows;
-  const long lo = static_cast<long>(i) * kMorselRows;
-  const long hi =
-      std::min<long>(lo + kMorselRows, static_cast<long>(rel_.Size()));
-  return static_cast<int>(hi - lo);
+  return MorselAt(i, rel_.Size()).size();
 }
 
 const int* ChunkedRelation::LoadChunk(int i, std::vector<int>* scratch) const {
-  if (!spilled_) {
-    if (rel_.Arity() == 0 || rel_.Empty()) return rel_.data().data();
-    return rel_.Row(i * kMorselRows);
-  }
+  if (!spilled_) return MorselData(rel_, i);
   const Chunk& c = chunks_[static_cast<size_t>(i)];
   const size_t values = static_cast<size_t>(c.rows) * schema_.size();
   scratch->resize(values);

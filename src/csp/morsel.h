@@ -18,6 +18,7 @@
 #define HYPERTREE_CSP_MORSEL_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,11 +28,40 @@
 
 namespace hypertree {
 
+class ThreadPool;
+
 /// Rows per morsel (one work item of the within-bag parallel loops, and
 /// one chunk of a spilled ChunkedRelation). Fixed — never derived from
 /// the thread count — so the morsel decomposition, the per-morsel
 /// zone-map decisions and every counter total are schedule-independent.
 inline constexpr int kMorselRows = 4096;
+
+/// Row range [lo, hi) of one morsel.
+struct Morsel {
+  int lo = 0;
+  int hi = 0;
+  int size() const { return hi - lo; }
+};
+
+// The morsel decomposition, computed here and nowhere else: a relation
+// of `rows` rows splits into MorselCount(rows) morsels, and morsel m
+// covers rows [m * kMorselRows, min((m + 1) * kMorselRows, rows)).
+
+/// Number of morsels covering `rows` rows.
+int MorselCount(long rows);
+
+/// Row range of morsel `m` of a `rows`-row relation.
+Morsel MorselAt(int m, long rows);
+
+/// Morsel `m`'s first row in `r`'s flat row-major buffer (the buffer base
+/// when `r` has no rows or no columns).
+const int* MorselData(const Relation& r, int m);
+
+/// Calls visit(m, lo, hi) once per morsel of a `rows`-row relation
+/// through ParallelFor on `pool` (nullptr: in ascending order on the
+/// calling thread). Safe to call from inside a pool task.
+void ForEachMorsel(long rows, ThreadPool* pool,
+                   const std::function<void(int m, int lo, int hi)>& visit);
 
 /// Per-query memory budget in bytes (0 = unlimited): the threshold above
 /// which join outputs spill to disk and semijoin build tables switch to

@@ -103,24 +103,13 @@ struct ChunkSource {
     return rel != nullptr ? static_cast<long>(rel->Size()) : ck->TotalRows();
   }
   int nchunks() const {
-    if (rel != nullptr) {
-      return static_cast<int>((rows() + kMorselRows - 1) / kMorselRows);
-    }
-    return ck->NumChunks();
+    return rel != nullptr ? MorselCount(rel->Size()) : ck->NumChunks();
   }
   int chunk_rows(int i) const {
-    if (rel != nullptr) {
-      const long lo = static_cast<long>(i) * kMorselRows;
-      return static_cast<int>(std::min<long>(kMorselRows, rows() - lo));
-    }
-    return ck->ChunkRows(i);
+    return rel != nullptr ? MorselAt(i, rel->Size()).size() : ck->ChunkRows(i);
   }
   const int* load(int i, std::vector<int>* scratch) const {
-    if (rel != nullptr) {
-      if (rel->Arity() == 0 || rel->Empty()) return rel->data().data();
-      return rel->Row(i * kMorselRows);
-    }
-    return ck->LoadChunk(i, scratch);
+    return rel != nullptr ? MorselData(*rel, i) : ck->LoadChunk(i, scratch);
   }
 };
 
@@ -178,18 +167,15 @@ void PackRelationKeys(const Relation& r, const std::vector<int>& pos,
   const int rows = r.Size();
   keys->resize(static_cast<size_t>(rows));
   const int k = static_cast<int>(pos.size());
-  const int arity = r.Arity();
-  const int nm = (rows + kMorselRows - 1) / kMorselRows;
+  const size_t arity = static_cast<size_t>(r.Arity());
+  const int nm = MorselCount(rows);
   std::vector<uint64_t> mns(static_cast<size_t>(nm), ~uint64_t{0});
   std::vector<uint64_t> mxs(static_cast<size_t>(nm), 0);
   const kernels::Ops& ops = kernels::Active();
-  const int* base = r.data().data();
   uint64_t* kb = keys->data();
-  ParallelFor(nm, pool, [&](int m) {
-    const int lo = m * kMorselRows;
-    const int hi = std::min(lo + kMorselRows, rows);
-    ops.PackKeys(kb + lo, base + static_cast<size_t>(lo) * arity, arity,
-                 pos.data(), k, bits, hi - lo, &mns[m], &mxs[m]);
+  ForEachMorsel(rows, pool, [&](int m, int lo, int hi) {
+    ops.PackKeys(kb + lo, MorselData(r, m), arity, pos.data(), k, bits,
+                 hi - lo, &mns[m], &mxs[m]);
   });
   uint64_t mn = ~uint64_t{0};
   uint64_t mx = 0;
@@ -509,15 +495,93 @@ ChunkedRelation JoinImpl(const ChunkSource& a, const Relation& b,
 // Semijoin.
 // ---------------------------------------------------------------------------
 
+// Build side of a packed semijoin: the packed-key range [bmin, bmax]
+// that every left morsel's zone map is checked against, plus either a
+// bitmap over that range (dense) or an open-addressed set of the
+// distinct keys (hash).
+struct SemiTable {
+  uint64_t bmin = ~uint64_t{0};
+  uint64_t bmax = 0;
+  bool dense = false;
+  std::vector<uint64_t> bitmap;     // dense: bit (key - bmin)
+  std::vector<uint64_t> slot_keys;  // hash
+  std::vector<int32_t> slot_vals;   // hash: 1 occupied, -1 empty
+  uint64_t mask = 0;
+};
+
+// Fills t's hash set with the distinct keys among keys[0, n).
+void BuildKeySet(const uint64_t* keys, size_t n, SemiTable* t) {
+  const size_t cap = NextPow2AtLeast(n * 2);
+  t->mask = cap - 1;
+  t->slot_keys.assign(cap, 0);
+  t->slot_vals.assign(cap, -1);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t key = keys[i];
+    size_t slot = kernels::SplitMix64(key) & t->mask;
+    while (t->slot_vals[slot] != -1 && t->slot_keys[slot] != key) {
+      slot = (slot + 1) & t->mask;
+    }
+    if (t->slot_vals[slot] == -1) {
+      t->slot_vals[slot] = 1;
+      t->slot_keys[slot] = key;
+    }
+  }
+}
+
+// The semijoin probe loop, one morsel of `left` per work item: pack the
+// morsel's keys, skip it when its zone map misses [t.bmin, t.bmax], and
+// set keep[r] for every row whose key is in t. keep[] bits are only ever
+// set, so repeated probes (one per grace partition) union. Returns the
+// probe collisions.
+long ProbeSemijoin(const Relation& left, const std::vector<int>& pa,
+                   int bits, const SemiTable& t, ThreadPool* pool,
+                   uint8_t* keep) {
+  const size_t arity = static_cast<size_t>(left.Arity());
+  const int k = static_cast<int>(pa.size());
+  const kernels::Ops& ops = kernels::Active();
+  std::atomic<long> collisions{0};
+  ForEachMorsel(left.Size(), pool, [&](int m, int lo, int hi) {
+    const int n = hi - lo;
+    ChunkBufs bufs;
+    bufs.keys.resize(static_cast<size_t>(n));
+    uint64_t mn = 0;
+    uint64_t mx = 0;
+    ops.PackKeys(bufs.keys.data(), MorselData(left, m), arity, pa.data(), k,
+                 bits, n, &mn, &mx);
+    if (mn > t.bmax || mx < t.bmin) {
+      MorselsSkipped().Increment();
+      return;
+    }
+    MorselsProcessed().Increment();
+    if (t.dense) {
+      for (int r = 0; r < n; ++r) {
+        const uint64_t key = bufs.keys[r];
+        if (key < t.bmin || key > t.bmax) continue;
+        const uint64_t idx = key - t.bmin;
+        if ((t.bitmap[idx >> 6] >> (idx & 63)) & 1) keep[lo + r] = 1;
+      }
+      return;
+    }
+    bufs.vals.resize(static_cast<size_t>(n));
+    const long c =
+        ops.ProbeKeys(bufs.vals.data(), bufs.keys.data(), n,
+                      t.slot_keys.data(), t.slot_vals.data(), t.mask);
+    collisions.fetch_add(c, std::memory_order_relaxed);
+    for (int r = 0; r < n; ++r) {
+      if (bufs.vals[r] >= 0) keep[lo + r] = 1;
+    }
+  });
+  return collisions.load(std::memory_order_relaxed);
+}
+
 // Grace (radix) partitioned build side: partitions the build keys to a
 // spill file by the top hash bits, then builds one small key set per
-// partition and probes every left morsel against it. keep[] bits are
-// only ever set, so the union over partitions is order-independent.
-void PartitionedSemijoin(const Relation& left, const std::vector<int>& pa,
+// partition and probes every left morsel against it. Returns the probe
+// collisions.
+long PartitionedSemijoin(const Relation& left, const std::vector<int>& pa,
                          int bits, const std::vector<uint64_t>& rkeys,
                          uint64_t bmin, uint64_t bmax, long long budget,
-                         ThreadPool* pool, std::vector<uint8_t>* keep,
-                         std::atomic<long>* collisions) {
+                         ThreadPool* pool, uint8_t* keep) {
   const size_t full_cap = NextPow2AtLeast(rkeys.size() * 2);
   const long long table_bytes = static_cast<long long>(full_cap) * 12;
   int parts = 2;
@@ -554,11 +618,7 @@ void PartitionedSemijoin(const Relation& left, const std::vector<int>& pa,
   SpillPartitions().Add(parts);
   SpillBytes().Add(static_cast<long>(rkeys.size() * sizeof(uint64_t)));
 
-  const int rows_l = left.Size();
-  const int arity = left.Arity();
-  const int nm = (rows_l + kMorselRows - 1) / kMorselRows;
-  const int* base = left.data().data();
-  const kernels::Ops& ops = kernels::Active();
+  long collisions = 0;
   std::vector<uint64_t> pkeys;
   for (int p = 0; p < parts; ++p) {
     long nkeys = 0;
@@ -571,47 +631,15 @@ void PartitionedSemijoin(const Relation& left, const std::vector<int>& pa,
                   static_cast<size_t>(e.second) * sizeof(uint64_t));
       at += e.second;
     }
-    // Per-partition key set (duplicates skipped).
-    const size_t cap = NextPow2AtLeast(static_cast<size_t>(nkeys) * 2);
-    const uint64_t mask = cap - 1;
-    std::vector<uint64_t> slot_keys(cap, 0);
-    std::vector<int32_t> slot_vals(cap, -1);
-    for (const uint64_t key : pkeys) {
-      size_t slot = kernels::SplitMix64(key) & mask;
-      while (slot_vals[slot] != -1 && slot_keys[slot] != key) {
-        slot = (slot + 1) & mask;
-      }
-      if (slot_vals[slot] == -1) {
-        slot_vals[slot] = 1;
-        slot_keys[slot] = key;
-      }
-    }
-    uint8_t* keepp = keep->data();
-    ParallelFor(nm, pool, [&](int m) {
-      const int lo = m * kMorselRows;
-      const int hi = std::min(lo + kMorselRows, rows_l);
-      ChunkBufs bufs;
-      bufs.keys.resize(static_cast<size_t>(hi - lo));
-      uint64_t mn = 0;
-      uint64_t mx = 0;
-      ops.PackKeys(bufs.keys.data(), base + static_cast<size_t>(lo) * arity,
-                   static_cast<size_t>(arity), pa.data(),
-                   static_cast<int>(pa.size()), bits, hi - lo, &mn, &mx);
-      if (mn > bmax || mx < bmin) {
-        MorselsSkipped().Increment();
-        return;
-      }
-      MorselsProcessed().Increment();
-      bufs.vals.resize(static_cast<size_t>(hi - lo));
-      const long c =
-          ops.ProbeKeys(bufs.vals.data(), bufs.keys.data(), hi - lo,
-                        slot_keys.data(), slot_vals.data(), mask);
-      collisions->fetch_add(c, std::memory_order_relaxed);
-      for (int r = lo; r < hi; ++r) {
-        if (bufs.vals[r - lo] >= 0) keepp[r] = 1;
-      }
-    });
+    // The zone map stays the whole build range; only the key set is
+    // per partition.
+    SemiTable t;
+    t.bmin = bmin;
+    t.bmax = bmax;
+    BuildKeySet(pkeys.data(), pkeys.size(), &t);
+    collisions += ProbeSemijoin(left, pa, bits, t, pool, keep);
   }
+  return collisions;
 }
 
 void PackedSemijoin(Relation* left, const Relation& right,
@@ -621,101 +649,38 @@ void PackedSemijoin(Relation* left, const Relation& right,
   const int rows_l = left->Size();
   const int arity = left->Arity();
   std::vector<uint64_t> rkeys;
-  uint64_t bmin = ~uint64_t{0};
-  uint64_t bmax = 0;
-  PackRelationKeys(right, pb, bits, pool, &rkeys, &bmin, &bmax);
-  const uint64_t span = bmax - bmin;
+  SemiTable build;
+  PackRelationKeys(right, pb, bits, pool, &rkeys, &build.bmin, &build.bmax);
+  const uint64_t span = build.bmax - build.bmin;
   const long long budget = MemoryBudget();
   const long long dense_bytes =
       static_cast<long long>(span / 64 + 1) * sizeof(uint64_t);
-  const bool dense =
+  build.dense =
       span <= kSemiDenseSpanMax && (budget == 0 || dense_bytes <= budget);
   std::vector<uint8_t> keep(static_cast<size_t>(rows_l), 0);
-  std::atomic<long> collisions{0};
-  const kernels::Ops& ops = kernels::Active();
-  const int* base = left->data().data();
-  const int nm = (rows_l + kMorselRows - 1) / kMorselRows;
+  long collisions = 0;
 
-  if (dense) {
-    std::vector<uint64_t> bitmap(static_cast<size_t>(span / 64 + 1), 0);
+  if (build.dense) {
+    build.bitmap.assign(static_cast<size_t>(span / 64 + 1), 0);
     for (const uint64_t key : rkeys) {
-      const uint64_t idx = key - bmin;
-      bitmap[idx >> 6] |= uint64_t{1} << (idx & 63);
+      const uint64_t idx = key - build.bmin;
+      build.bitmap[idx >> 6] |= uint64_t{1} << (idx & 63);
     }
     BytesAllocated().Add(
-        static_cast<long>(bitmap.capacity() * sizeof(uint64_t)));
-    uint8_t* keepp = keep.data();
-    ParallelFor(nm, pool, [&](int m) {
-      const int lo = m * kMorselRows;
-      const int hi = std::min(lo + kMorselRows, rows_l);
-      ChunkBufs bufs;
-      bufs.keys.resize(static_cast<size_t>(hi - lo));
-      uint64_t mn = 0;
-      uint64_t mx = 0;
-      ops.PackKeys(bufs.keys.data(), base + static_cast<size_t>(lo) * arity,
-                   static_cast<size_t>(arity), pa.data(),
-                   static_cast<int>(pa.size()), bits, hi - lo, &mn, &mx);
-      if (mn > bmax || mx < bmin) {
-        MorselsSkipped().Increment();
-        return;
-      }
-      MorselsProcessed().Increment();
-      for (int r = lo; r < hi; ++r) {
-        const uint64_t key = bufs.keys[r - lo];
-        if (key < bmin || key > bmax) continue;
-        const uint64_t idx = key - bmin;
-        if ((bitmap[idx >> 6] >> (idx & 63)) & 1) keepp[r] = 1;
-      }
-    });
+        static_cast<long>(build.bitmap.capacity() * sizeof(uint64_t)));
+    collisions = ProbeSemijoin(*left, pa, bits, build, pool, keep.data());
   } else {
     const size_t cap = NextPow2AtLeast(rkeys.size() * 2);
     const long long hash_bytes = static_cast<long long>(cap) * 12;
     if (budget > 0 && hash_bytes > budget) {
-      PartitionedSemijoin(*left, pa, bits, rkeys, bmin, bmax, budget, pool,
-                          &keep, &collisions);
+      collisions = PartitionedSemijoin(*left, pa, bits, rkeys, build.bmin,
+                                       build.bmax, budget, pool, keep.data());
     } else {
-      const uint64_t mask = cap - 1;
-      std::vector<uint64_t> slot_keys(cap, 0);
-      std::vector<int32_t> slot_vals(cap, -1);
-      for (const uint64_t key : rkeys) {
-        size_t slot = kernels::SplitMix64(key) & mask;
-        while (slot_vals[slot] != -1 && slot_keys[slot] != key) {
-          slot = (slot + 1) & mask;
-        }
-        if (slot_vals[slot] == -1) {
-          slot_vals[slot] = 1;
-          slot_keys[slot] = key;
-        }
-      }
+      BuildKeySet(rkeys.data(), rkeys.size(), &build);
       BytesAllocated().Add(static_cast<long>(
-          slot_keys.capacity() * sizeof(uint64_t) +
-          slot_vals.capacity() * sizeof(int32_t)));
-      uint8_t* keepp = keep.data();
-      ParallelFor(nm, pool, [&](int m) {
-        const int lo = m * kMorselRows;
-        const int hi = std::min(lo + kMorselRows, rows_l);
-        ChunkBufs bufs;
-        bufs.keys.resize(static_cast<size_t>(hi - lo));
-        uint64_t mn = 0;
-        uint64_t mx = 0;
-        ops.PackKeys(bufs.keys.data(),
-                     base + static_cast<size_t>(lo) * arity,
-                     static_cast<size_t>(arity), pa.data(),
-                     static_cast<int>(pa.size()), bits, hi - lo, &mn, &mx);
-        if (mn > bmax || mx < bmin) {
-          MorselsSkipped().Increment();
-          return;
-        }
-        MorselsProcessed().Increment();
-        bufs.vals.resize(static_cast<size_t>(hi - lo));
-        const long c =
-            ops.ProbeKeys(bufs.vals.data(), bufs.keys.data(), hi - lo,
-                          slot_keys.data(), slot_vals.data(), mask);
-        collisions.fetch_add(c, std::memory_order_relaxed);
-        for (int r = lo; r < hi; ++r) {
-          if (bufs.vals[r - lo] >= 0) keepp[r] = 1;
-        }
-      });
+          build.slot_keys.capacity() * sizeof(uint64_t) +
+          build.slot_vals.capacity() * sizeof(int32_t)));
+      collisions = ProbeSemijoin(*left, pa, bits, build, pool, keep.data());
     }
   }
 
@@ -736,8 +701,7 @@ void PackedSemijoin(Relation* left, const Relation& right,
       << "semijoin compaction produced more survivors than input rows";
   RelationInternal::Rows(*left) = write;
   data.resize(static_cast<size_t>(write) * arity);
-  const long coll = collisions.load(std::memory_order_relaxed);
-  if (coll > 0) ProbeCollisions().Add(coll);
+  if (collisions > 0) ProbeCollisions().Add(collisions);
   RelationInternal::CheckRep(*left);
 }
 

@@ -43,9 +43,8 @@ namespace hypertree {
 /// shaped for the kernel layer (src/kernels/kernels.h): single-word rows
 /// pack at stride 1 so vector backends process four rows per 256-bit
 /// lane, multi-word rows at a whole-lane stride. The arenas are built
-/// once and immutable, so any number of search workers — including the
-/// batched kernel backend's worker pool — share them without
-/// synchronization.
+/// once and immutable, so any number of search workers share them
+/// without synchronization.
 class IncidenceIndex {
  public:
   explicit IncidenceIndex(const Hypergraph& h);

@@ -10,7 +10,6 @@
 #include "kernels/kernels_internal.h"
 #include "util/check.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
 
 namespace hypertree::kernels {
 namespace {
@@ -26,9 +25,9 @@ inline const uint64_t* Row(const uint64_t* rows, size_t stride, int r) {
   return rows + static_cast<size_t>(r) * stride;
 }
 
-int OrReduceColumns(uint64_t* dst, int clo, int chi, const uint64_t* rows,
-                    size_t stride, const uint64_t* mask, int mask_words) {
-  for (int i = clo; i < chi; ++i) dst[i] = 0;
+int OrReduceRows(uint64_t* dst, int nwords, const uint64_t* rows,
+                 size_t stride, const uint64_t* mask, int mask_words) {
+  for (int i = 0; i < nwords; ++i) dst[i] = 0;
   int nrows = 0;
   for (int w = 0; w < mask_words; ++w) {
     uint64_t m = mask[w];
@@ -36,23 +35,17 @@ int OrReduceColumns(uint64_t* dst, int clo, int chi, const uint64_t* rows,
       const int v = w * 64 + __builtin_ctzll(m);
       m &= m - 1;
       const uint64_t* row = Row(rows, stride, v);
-      for (int i = clo; i < chi; ++i) dst[i] |= row[i];
+      for (int i = 0; i < nwords; ++i) dst[i] |= row[i];
       ++nrows;
     }
   }
   return nrows;
 }
 
-int OrReduceRows(uint64_t* dst, int nwords, const uint64_t* rows,
-                 size_t stride, const uint64_t* mask, int mask_words) {
-  return OrReduceColumns(dst, 0, nwords, rows, stride, mask, mask_words);
-}
-
 int OrReduceRowsFiltered(uint64_t* dst, int nwords, const uint64_t* rows,
                          size_t stride, const uint64_t* mask, int mask_words,
                          const uint64_t* filter, bool* out_any) {
-  const int nrows = OrReduceColumns(dst, 0, nwords, rows, stride, mask,
-                                    mask_words);
+  const int nrows = OrReduceRows(dst, nwords, rows, stride, mask, mask_words);
   uint64_t any = 0;
   for (int i = 0; i < nwords; ++i) {
     dst[i] &= filter[i];
@@ -70,10 +63,10 @@ void FrontierCommit(uint64_t* acc, uint64_t* pending, const uint64_t* reach,
   }
 }
 
-void FilterRowsNotSubsetRange(uint64_t* out_mask, const uint64_t* rows,
-                              size_t stride, const uint64_t* mask, int wlo,
-                              int whi, const uint64_t* b, int nwords) {
-  for (int w = wlo; w < whi; ++w) {
+void FilterRowsNotSubset(uint64_t* out_mask, const uint64_t* rows,
+                         size_t stride, const uint64_t* mask, int mask_words,
+                         const uint64_t* b, int nwords) {
+  for (int w = 0; w < mask_words; ++w) {
     uint64_t out = 0;
     uint64_t m = mask[w];
     while (m != 0) {
@@ -91,17 +84,9 @@ void FilterRowsNotSubsetRange(uint64_t* out_mask, const uint64_t* rows,
   }
 }
 
-void FilterRowsNotSubset(uint64_t* out_mask, const uint64_t* rows,
-                         size_t stride, const uint64_t* mask, int mask_words,
-                         const uint64_t* b, int nwords) {
-  FilterRowsNotSubsetRange(out_mask, rows, stride, mask, 0, mask_words, b,
-                           nwords);
-}
-
-void ScoreRowsRange(int* counts, const uint64_t* rows, size_t stride,
-                    const int* idx, int lo, int hi, const uint64_t* conn,
-                    int nwords) {
-  for (int i = lo; i < hi; ++i) {
+void ScoreRows(int* counts, const uint64_t* rows, size_t stride,
+               const int* idx, int k, const uint64_t* conn, int nwords) {
+  for (int i = 0; i < k; ++i) {
     const uint64_t* row = Row(rows, stride, idx != nullptr ? idx[i] : i);
     int c = 0;
     for (int w = 0; w < nwords; ++w) {
@@ -111,15 +96,10 @@ void ScoreRowsRange(int* counts, const uint64_t* rows, size_t stride,
   }
 }
 
-void ScoreRows(int* counts, const uint64_t* rows, size_t stride,
-               const int* idx, int k, const uint64_t* conn, int nwords) {
-  ScoreRowsRange(counts, rows, stride, idx, 0, k, conn, nwords);
-}
-
-int MaxIntersectRange(const uint64_t* rows, size_t stride, int lo, int hi,
-                      const uint64_t* conn, int nwords) {
+int MaxIntersect(const uint64_t* rows, size_t stride, int nrows,
+                 const uint64_t* conn, int nwords) {
   int best = 0;
-  for (int r = lo; r < hi; ++r) {
+  for (int r = 0; r < nrows; ++r) {
     const uint64_t* row = Row(rows, stride, r);
     int c = 0;
     for (int w = 0; w < nwords; ++w) {
@@ -128,11 +108,6 @@ int MaxIntersectRange(const uint64_t* rows, size_t stride, int lo, int hi,
     if (c > best) best = c;
   }
   return best;
-}
-
-int MaxIntersect(const uint64_t* rows, size_t stride, int nrows,
-                 const uint64_t* conn, int nwords) {
-  return MaxIntersectRange(rows, stride, 0, nrows, conn, nwords);
 }
 
 int AndCount(uint64_t* dst, const uint64_t* a, const uint64_t* b,
@@ -168,12 +143,12 @@ bool AndNotIsEmpty(const uint64_t* a, const uint64_t* b, int nwords) {
   return true;
 }
 
-void PackKeysRange(uint64_t* keys, const int* rows, size_t stride,
-                   const int* pos, int k, int bits, int lo, int hi,
-                   uint64_t* out_min, uint64_t* out_max) {
+void PackKeys(uint64_t* keys, const int* rows, size_t stride, const int* pos,
+              int k, int bits, int nrows, uint64_t* out_min,
+              uint64_t* out_max) {
   uint64_t mn = ~uint64_t{0};
   uint64_t mx = 0;
-  for (int r = lo; r < hi; ++r) {
+  for (int r = 0; r < nrows; ++r) {
     const int* row = rows + static_cast<size_t>(r) * stride;
     uint64_t key = 0;
     for (int i = 0; i < k; ++i) {
@@ -188,17 +163,11 @@ void PackKeysRange(uint64_t* keys, const int* rows, size_t stride,
   *out_max = mx;
 }
 
-void PackKeys(uint64_t* keys, const int* rows, size_t stride, const int* pos,
-              int k, int bits, int nrows, uint64_t* out_min,
-              uint64_t* out_max) {
-  PackKeysRange(keys, rows, stride, pos, k, bits, 0, nrows, out_min, out_max);
-}
-
-long ProbeKeysRange(int32_t* out_val, const uint64_t* keys, int lo, int hi,
-                    const uint64_t* slot_keys, const int32_t* slot_vals,
-                    uint64_t mask) {
+long ProbeKeys(int32_t* out_val, const uint64_t* keys, int nrows,
+               const uint64_t* slot_keys, const int32_t* slot_vals,
+               uint64_t mask) {
   long collisions = 0;
-  for (int r = lo; r < hi; ++r) {
+  for (int r = 0; r < nrows; ++r) {
     const uint64_t key = keys[r];
     size_t slot = SplitMix64(key) & mask;
     int32_t val = -1;
@@ -215,213 +184,7 @@ long ProbeKeysRange(int32_t* out_val, const uint64_t* keys, int lo, int hi,
   return collisions;
 }
 
-long ProbeKeys(int32_t* out_val, const uint64_t* keys, int nrows,
-               const uint64_t* slot_keys, const int32_t* slot_vals,
-               uint64_t mask) {
-  return ProbeKeysRange(out_val, keys, 0, nrows, slot_keys, slot_vals, mask);
-}
-
 }  // namespace scalar
-
-// ---------------------------------------------------------------------------
-// Batched backend: shards large row batches over an internal worker pool
-// and delegates the per-shard arithmetic to the best SIMD table. Shards
-// write disjoint output slots, so results are bit-identical to the
-// scalar oracle regardless of worker count or scheduling.
-//
-// The pool is module-owned and distinct from the search ThreadPools: a
-// batched kernel called from inside a search worker must never Wait()
-// on the pool that worker came from (classic nested-wait deadlock).
-// ---------------------------------------------------------------------------
-
-namespace batched {
-
-// Below these sizes the task-wave overhead dwarfs the work; delegate to
-// the SIMD table in the calling thread. Calibrated from the
-// bench_micro_kernels backend sweeps (BM_KernelScoreRows /
-// BM_KernelOrReduce / BM_KernelPackKeys / BM_KernelProbeKeys; see
-// docs/KERNELS.md, "Calibrating the batched shard thresholds"): one
-// wave costs ~5us of submit+wake+wait, and a shape only shards when its
-// single-thread SIMD time is at least 4x that, so a second worker
-// already wins with a 2x margin. Thresholds stay fixed constants (not
-// tuned per machine at runtime) so the shard/no-shard decision — and
-// thus the kernels.batched.* counters — is deterministic.
-constexpr int kMinRowsToShard = 256;      // floor: a wave needs rows to split
-constexpr long kMinWordsToShard = 65536;  // ~0.35ns/word-op -> ~23us of work
-constexpr int kMinColumnsToShard = 4096;  // ~50ns/word at bench row counts
-constexpr int kMinKeysToShard = 16384;    // ~1.65ns/key packed -> ~27us
-
-ThreadPool& Pool() {
-  static ThreadPool* pool =
-      new ThreadPool(std::min(8, ThreadPool::HardwareThreads()));
-  return *pool;
-}
-
-// Serializes task waves so Pool().Wait() only ever waits on this wave's
-// shards (concurrent searches can issue batched kernels simultaneously).
-std::mutex& WaveMu() {
-  static std::mutex* mu = new std::mutex;
-  return *mu;
-}
-
-metrics::Counter& WaveCounter() {
-  static metrics::Counter& c = metrics::GetCounter("kernels.batched.waves");
-  return c;
-}
-
-// Splits [0, n) into roughly equal shards and runs `fn(lo, hi)` for each
-// on the pool, blocking until all shards finish.
-template <typename Fn>
-void RunWave(int n, const Fn& fn) {
-  ThreadPool& pool = Pool();
-  const int nshards = std::min(pool.NumThreads(), n);
-  std::lock_guard<std::mutex> lock(WaveMu());
-  WaveCounter().Increment();
-  for (int s = 0; s < nshards; ++s) {
-    const int lo = static_cast<int>(static_cast<long>(n) * s / nshards);
-    const int hi = static_cast<int>(static_cast<long>(n) * (s + 1) / nshards);
-    pool.Submit([&fn, lo, hi] { fn(lo, hi); });
-  }
-  pool.Wait();
-}
-
-void ScoreRows(int* counts, const uint64_t* rows, size_t stride,
-               const int* idx, int k, const uint64_t* conn, int nwords) {
-  if (k < kMinRowsToShard ||
-      static_cast<long>(k) * nwords < kMinWordsToShard) {
-    internal::SimdRaw().ScoreRows(counts, rows, stride, idx, k, conn, nwords);
-    return;
-  }
-  RunWave(k, [&](int lo, int hi) {
-    internal::SimdRange().ScoreRowsRange(counts, rows, stride, idx, lo, hi,
-                                         conn, nwords);
-  });
-}
-
-int MaxIntersect(const uint64_t* rows, size_t stride, int nrows,
-                 const uint64_t* conn, int nwords) {
-  if (nrows < kMinRowsToShard ||
-      static_cast<long>(nrows) * nwords < kMinWordsToShard) {
-    return internal::SimdRaw().MaxIntersect(rows, stride, nrows, conn,
-                                            nwords);
-  }
-  int shard_best[64] = {};
-  std::atomic<int> next{0};
-  RunWave(nrows, [&](int lo, int hi) {
-    const int slot = next.fetch_add(1, std::memory_order_relaxed);
-    shard_best[slot] =
-        internal::SimdRange().MaxIntersectRange(rows, stride, lo, hi, conn,
-                                                nwords);
-  });
-  // max() is commutative, so combining in slot order is deterministic
-  // even though shard-to-slot assignment is not.
-  int best = 0;
-  for (int b : shard_best) best = std::max(best, b);
-  return best;
-}
-
-void FilterRowsNotSubset(uint64_t* out_mask, const uint64_t* rows,
-                         size_t stride, const uint64_t* mask, int mask_words,
-                         const uint64_t* b, int nwords) {
-  if (mask_words * 64 < kMinRowsToShard ||
-      static_cast<long>(mask_words) * 64 * nwords < kMinWordsToShard) {
-    internal::SimdRaw().FilterRowsNotSubset(out_mask, rows, stride, mask,
-                                            mask_words, b, nwords);
-    return;
-  }
-  RunWave(mask_words, [&](int wlo, int whi) {
-    internal::SimdRange().FilterRowsNotSubsetRange(out_mask, rows, stride,
-                                                   mask, wlo, whi, b, nwords);
-  });
-}
-
-int OrReduceRows(uint64_t* dst, int nwords, const uint64_t* rows,
-                 size_t stride, const uint64_t* mask, int mask_words) {
-  if (nwords < kMinColumnsToShard) {
-    return internal::SimdRaw().OrReduceRows(dst, nwords, rows, stride, mask,
-                                            mask_words);
-  }
-  // Column sharding: each worker OR-reduces its own word range of every
-  // masked row. Only worthwhile on very wide universes (>= 256k bits).
-  std::atomic<int> nrows{0};
-  RunWave(nwords, [&](int clo, int chi) {
-    const int n = internal::SimdRange().OrReduceColumns(dst, clo, chi, rows,
-                                                        stride, mask,
-                                                        mask_words);
-    nrows.store(n, std::memory_order_relaxed);  // identical in every shard
-  });
-  return nrows.load(std::memory_order_relaxed);
-}
-
-int OrReduceRowsFiltered(uint64_t* dst, int nwords, const uint64_t* rows,
-                         size_t stride, const uint64_t* mask, int mask_words,
-                         const uint64_t* filter, bool* out_any) {
-  if (nwords < kMinColumnsToShard) {
-    return internal::SimdRaw().OrReduceRowsFiltered(
-        dst, nwords, rows, stride, mask, mask_words, filter, out_any);
-  }
-  const int nrows = OrReduceRows(dst, nwords, rows, stride, mask, mask_words);
-  uint64_t any = 0;
-  for (int i = 0; i < nwords; ++i) {
-    dst[i] &= filter[i];
-    any |= dst[i];
-  }
-  *out_any = any != 0;
-  return nrows;
-}
-
-void PackKeys(uint64_t* keys, const int* rows, size_t stride, const int* pos,
-              int k, int bits, int nrows, uint64_t* out_min,
-              uint64_t* out_max) {
-  if (nrows < kMinKeysToShard) {
-    internal::SimdRaw().PackKeys(keys, rows, stride, pos, k, bits, nrows,
-                                 out_min, out_max);
-    return;
-  }
-  uint64_t shard_min[64];
-  uint64_t shard_max[64];
-  for (int i = 0; i < 64; ++i) {
-    shard_min[i] = ~uint64_t{0};
-    shard_max[i] = 0;
-  }
-  std::atomic<int> next{0};
-  RunWave(nrows, [&](int lo, int hi) {
-    const int slot = next.fetch_add(1, std::memory_order_relaxed);
-    internal::SimdRange().PackKeysRange(keys, rows, stride, pos, k, bits, lo,
-                                        hi, &shard_min[slot],
-                                        &shard_max[slot]);
-  });
-  // min/max are commutative, so combining in slot order is deterministic
-  // even though shard-to-slot assignment is not.
-  uint64_t mn = ~uint64_t{0};
-  uint64_t mx = 0;
-  for (int i = 0; i < 64; ++i) {
-    mn = std::min(mn, shard_min[i]);
-    mx = std::max(mx, shard_max[i]);
-  }
-  *out_min = mn;
-  *out_max = mx;
-}
-
-long ProbeKeys(int32_t* out_val, const uint64_t* keys, int nrows,
-               const uint64_t* slot_keys, const int32_t* slot_vals,
-               uint64_t mask) {
-  if (nrows < kMinKeysToShard) {
-    return internal::SimdRaw().ProbeKeys(out_val, keys, nrows, slot_keys,
-                                         slot_vals, mask);
-  }
-  // Collision counts sum commutatively across shards, so the total is
-  // schedule-independent.
-  std::atomic<long> collisions{0};
-  RunWave(nrows, [&](int lo, int hi) {
-    const long c = internal::SimdRange().ProbeKeysRange(
-        out_val, keys, lo, hi, slot_keys, slot_vals, mask);
-    collisions.fetch_add(c, std::memory_order_relaxed);
-  });
-  return collisions.load(std::memory_order_relaxed);
-}
-
-}  // namespace batched
 
 // ---------------------------------------------------------------------------
 // Dispatch: public tables wrap the raw backends with per-backend row
@@ -439,22 +202,6 @@ const Ops& RawFor<Backend::kScalar>() {
 template <>
 const Ops& RawFor<Backend::kAvx2>() {
   return internal::Avx2Raw();
-}
-template <>
-const Ops& RawFor<Backend::kBatched>() {
-  static const Ops table = [] {
-    Ops t = internal::SimdRaw();
-    t.name = "batched";
-    t.OrReduceRows = batched::OrReduceRows;
-    t.OrReduceRowsFiltered = batched::OrReduceRowsFiltered;
-    t.FilterRowsNotSubset = batched::FilterRowsNotSubset;
-    t.ScoreRows = batched::ScoreRows;
-    t.MaxIntersect = batched::MaxIntersect;
-    t.PackKeys = batched::PackKeys;
-    t.ProbeKeys = batched::ProbeKeys;
-    return t;
-  }();
-  return table;
 }
 
 template <Backend B>
@@ -605,8 +352,6 @@ bool ParseBackend(const std::string& s, Backend* out) {
     *out = Backend::kScalar;
   } else if (s == "avx2") {
     *out = Backend::kAvx2;
-  } else if (s == "batched") {
-    *out = Backend::kBatched;
   } else {
     return false;
   }
@@ -619,8 +364,6 @@ const char* BackendName(Backend b) {
       return "scalar";
     case Backend::kAvx2:
       return "avx2";
-    case Backend::kBatched:
-      return "batched";
     case Backend::kAuto:
       return "auto";
   }
@@ -643,8 +386,6 @@ const Ops& GetOps(Backend b) {
   switch (b) {
     case Backend::kAvx2:
       return Counted<Backend::kAvx2>::Table();
-    case Backend::kBatched:
-      return Counted<Backend::kBatched>::Table();
     default:
       return Counted<Backend::kScalar>::Table();
   }
@@ -704,28 +445,6 @@ const Ops& ScalarRaw() {
       scalar::PackKeys,
       scalar::ProbeKeys,
   };
-  return table;
-}
-
-const RangeOps& ScalarRange() {
-  static const RangeOps table = {
-      scalar::ScoreRowsRange,
-      scalar::MaxIntersectRange,
-      scalar::FilterRowsNotSubsetRange,
-      scalar::OrReduceColumns,
-      scalar::PackKeysRange,
-      scalar::ProbeKeysRange,
-  };
-  return table;
-}
-
-const Ops& SimdRaw() {
-  static const Ops& table = HaveAvx2() ? Avx2Raw() : ScalarRaw();
-  return table;
-}
-
-const RangeOps& SimdRange() {
-  static const RangeOps& table = HaveAvx2() ? Avx2Range() : ScalarRange();
   return table;
 }
 

@@ -11,29 +11,26 @@
 //     buffers — no hidden allocation, no retained state, no ordering
 //     dependence between output elements;
 //   * rows live in flat row-major arenas (row r at rows + r * stride)
-//     so a backend can stream, vectorize or shard them without touching
-//     the Bitset object layout;
+//     so a backend can stream or vectorize them without touching the
+//     Bitset object layout;
 //   * buffers follow the padded-capacity contract: any buffer holding
 //     `nwords` logical words is allocated with PaddedWords(nwords)
 //     words and the padding words are zero. Bitset heap storage and
 //     WordArena both guarantee this, which lets vector backends process
 //     whole 256-bit lanes with no scalar tail.
 //
-// Three backends ship behind runtime dispatch:
+// Two backends ship behind runtime dispatch:
 //
 //   scalar   one word at a time; the bit-identical reference oracle.
 //   avx2     explicit 256-bit vectors over the same word layout
 //            (compiled with per-function target attributes, selected
 //            only when the CPU reports AVX2).
-//   batched  shards large row batches across an internal worker pool,
-//            delegating the per-row arithmetic to the best SIMD ops.
-//            Output slots are disjoint per row, so results are
-//            bit-identical regardless of worker count or schedule.
 //
-// All backends produce byte-identical outputs for identical inputs;
+// Both backends produce byte-identical outputs for identical inputs;
 // tests/kernels_equivalence_test.cc hammers that invariant on ragged
-// sizes and tests/kernels_tsan_test.cc shares one row arena across
-// batched workers under TSan.
+// sizes. Every op runs in the calling thread; parallelism belongs to the
+// callers, which split their work on their own ThreadPool (the join
+// engine issues one PackKeys / ProbeKeys call per morsel).
 
 #ifndef HYPERTREE_KERNELS_KERNELS_H_
 #define HYPERTREE_KERNELS_KERNELS_H_
@@ -58,7 +55,7 @@ inline uint64_t SplitMix64(uint64_t x) {
 
 /// Kernel backend identifiers. kAuto resolves at dispatch time to the
 /// best backend the CPU supports (avx2 when available, else scalar).
-enum class Backend { kScalar = 0, kAvx2 = 1, kBatched = 2, kAuto = 3 };
+enum class Backend { kScalar = 0, kAvx2 = 1, kAuto = 2 };
 
 /// Words per allocation granule: 4 words = 256 bits = one AVX2 lane.
 inline constexpr int kWordsPerLane = 4;
@@ -158,11 +155,11 @@ bool Avx2Available();
 /// The backend kAuto resolves to on this machine.
 Backend ResolveAuto();
 
-/// Parses "auto" / "scalar" / "avx2" / "batched" (the --kernel-backend
-/// flag values). Returns false on anything else.
+/// Parses "auto" / "scalar" / "avx2" (the --kernel-backend flag values).
+/// Returns false on anything else.
 bool ParseBackend(const std::string& s, Backend* out);
 
-/// Stable lowercase name ("scalar", "avx2", "batched", "auto").
+/// Stable lowercase name ("scalar", "avx2", "auto").
 const char* BackendName(Backend b);
 
 /// Selects the process-wide active backend. kAuto (the default) picks

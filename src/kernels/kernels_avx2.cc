@@ -71,10 +71,10 @@ HT_AVX2 inline int PopcountIntersectRow(const uint64_t* row,
   return c;
 }
 
-HT_AVX2 int OrReduceColumns(uint64_t* dst, int clo, int chi,
-                            const uint64_t* rows, size_t stride,
-                            const uint64_t* mask, int mask_words) {
-  for (int i = clo; i < chi; ++i) dst[i] = 0;
+HT_AVX2 int OrReduceRows(uint64_t* dst, int nwords, const uint64_t* rows,
+                         size_t stride, const uint64_t* mask,
+                         int mask_words) {
+  for (int i = 0; i < nwords; ++i) dst[i] = 0;
   int nrows = 0;
   for (int w = 0; w < mask_words; ++w) {
     uint64_t m = mask[w];
@@ -82,8 +82,8 @@ HT_AVX2 int OrReduceColumns(uint64_t* dst, int clo, int chi,
       const int v = w * 64 + __builtin_ctzll(m);
       m &= m - 1;
       const uint64_t* row = Row(rows, stride, v);
-      int i = clo;
-      for (; i + 4 <= chi; i += 4) {
+      int i = 0;
+      for (; i + 4 <= nwords; i += 4) {
         const __m256i d =
             _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
         const __m256i r =
@@ -91,25 +91,18 @@ HT_AVX2 int OrReduceColumns(uint64_t* dst, int clo, int chi,
         _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
                             _mm256_or_si256(d, r));
       }
-      for (; i < chi; ++i) dst[i] |= row[i];
+      for (; i < nwords; ++i) dst[i] |= row[i];
       ++nrows;
     }
   }
   return nrows;
 }
 
-HT_AVX2 int OrReduceRows(uint64_t* dst, int nwords, const uint64_t* rows,
-                         size_t stride, const uint64_t* mask,
-                         int mask_words) {
-  return OrReduceColumns(dst, 0, nwords, rows, stride, mask, mask_words);
-}
-
 HT_AVX2 int OrReduceRowsFiltered(uint64_t* dst, int nwords,
                                  const uint64_t* rows, size_t stride,
                                  const uint64_t* mask, int mask_words,
                                  const uint64_t* filter, bool* out_any) {
-  const int nrows =
-      OrReduceColumns(dst, 0, nwords, rows, stride, mask, mask_words);
+  const int nrows = OrReduceRows(dst, nwords, rows, stride, mask, mask_words);
   int i = 0;
   __m256i anyv = _mm256_setzero_si256();
   for (; i + 4 <= nwords; i += 4) {
@@ -168,11 +161,11 @@ HT_AVX2 inline bool RowNotSubset(const uint64_t* row, const uint64_t* b,
   return false;
 }
 
-HT_AVX2 void FilterRowsNotSubsetRange(uint64_t* out_mask,
-                                      const uint64_t* rows, size_t stride,
-                                      const uint64_t* mask, int wlo, int whi,
-                                      const uint64_t* b, int nwords) {
-  for (int w = wlo; w < whi; ++w) {
+HT_AVX2 void FilterRowsNotSubset(uint64_t* out_mask, const uint64_t* rows,
+                                 size_t stride, const uint64_t* mask,
+                                 int mask_words, const uint64_t* b,
+                                 int nwords) {
+  for (int w = 0; w < mask_words; ++w) {
     uint64_t out = 0;
     uint64_t m = mask[w];
     while (m != 0) {
@@ -186,22 +179,14 @@ HT_AVX2 void FilterRowsNotSubsetRange(uint64_t* out_mask,
   }
 }
 
-HT_AVX2 void FilterRowsNotSubset(uint64_t* out_mask, const uint64_t* rows,
-                                 size_t stride, const uint64_t* mask,
-                                 int mask_words, const uint64_t* b,
-                                 int nwords) {
-  FilterRowsNotSubsetRange(out_mask, rows, stride, mask, 0, mask_words, b,
-                           nwords);
-}
-
-HT_AVX2 void ScoreRowsRange(int* counts, const uint64_t* rows, size_t stride,
-                            const int* idx, int lo, int hi,
-                            const uint64_t* conn, int nwords) {
+HT_AVX2 void ScoreRows(int* counts, const uint64_t* rows, size_t stride,
+                       const int* idx, int k, const uint64_t* conn,
+                       int nwords) {
   if (stride == 1 && nwords == 1 && idx == nullptr) {
     // Packed single-word rows: four candidates per vector.
     const __m256i c = _mm256_set1_epi64x(static_cast<long long>(conn[0]));
-    int i = lo;
-    for (; i + 4 <= hi; i += 4) {
+    int i = 0;
+    for (; i + 4 <= k; i += 4) {
       const __m256i r =
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows + i));
       uint64_t tmp[4];
@@ -212,29 +197,23 @@ HT_AVX2 void ScoreRowsRange(int* counts, const uint64_t* rows, size_t stride,
       counts[i + 2] = static_cast<int>(tmp[2]);
       counts[i + 3] = static_cast<int>(tmp[3]);
     }
-    for (; i < hi; ++i) counts[i] = __builtin_popcountll(rows[i] & conn[0]);
+    for (; i < k; ++i) counts[i] = __builtin_popcountll(rows[i] & conn[0]);
     return;
   }
-  for (int i = lo; i < hi; ++i) {
+  for (int i = 0; i < k; ++i) {
     counts[i] = PopcountIntersectRow(
         Row(rows, stride, idx != nullptr ? idx[i] : i), conn, nwords);
   }
 }
 
-HT_AVX2 void ScoreRows(int* counts, const uint64_t* rows, size_t stride,
-                       const int* idx, int k, const uint64_t* conn,
-                       int nwords) {
-  ScoreRowsRange(counts, rows, stride, idx, 0, k, conn, nwords);
-}
-
-HT_AVX2 int MaxIntersectRange(const uint64_t* rows, size_t stride, int lo,
-                              int hi, const uint64_t* conn, int nwords) {
+HT_AVX2 int MaxIntersect(const uint64_t* rows, size_t stride, int nrows,
+                         const uint64_t* conn, int nwords) {
   int best = 0;
   if (stride == 1 && nwords == 1) {
     const __m256i c = _mm256_set1_epi64x(static_cast<long long>(conn[0]));
     __m256i bestv = _mm256_setzero_si256();
-    int r = lo;
-    for (; r + 4 <= hi; r += 4) {
+    int r = 0;
+    for (; r + 4 <= nrows; r += 4) {
       const __m256i row =
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows + r));
       const __m256i cnt = Popcnt256(_mm256_and_si256(row, c));
@@ -244,21 +223,16 @@ HT_AVX2 int MaxIntersectRange(const uint64_t* rows, size_t stride, int lo,
     uint64_t tmp[4];
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(tmp), bestv);
     for (uint64_t t : tmp) best = std::max(best, static_cast<int>(t));
-    for (; r < hi; ++r) {
+    for (; r < nrows; ++r) {
       best = std::max(best, __builtin_popcountll(rows[r] & conn[0]));
     }
     return best;
   }
-  for (int r = lo; r < hi; ++r) {
+  for (int r = 0; r < nrows; ++r) {
     best = std::max(
         best, PopcountIntersectRow(Row(rows, stride, r), conn, nwords));
   }
   return best;
-}
-
-HT_AVX2 int MaxIntersect(const uint64_t* rows, size_t stride, int nrows,
-                         const uint64_t* conn, int nwords) {
-  return MaxIntersectRange(rows, stride, 0, nrows, conn, nwords);
 }
 
 HT_AVX2 int AndCount(uint64_t* dst, const uint64_t* a, const uint64_t* b,
@@ -321,18 +295,18 @@ HT_AVX2 bool AndNotIsEmpty(const uint64_t* a, const uint64_t* b, int nwords) {
 // open-addressed slots scalar-wise with the precomputed hashes.
 // ---------------------------------------------------------------------------
 
-HT_AVX2 void PackKeysRange(uint64_t* keys, const int* rows, size_t stride,
-                           const int* pos, int k, int bits, int lo, int hi,
-                           uint64_t* out_min, uint64_t* out_max) {
+HT_AVX2 void PackKeys(uint64_t* keys, const int* rows, size_t stride,
+                      const int* pos, int k, int bits, int nrows,
+                      uint64_t* out_min, uint64_t* out_max) {
   uint64_t mn = ~uint64_t{0};
   uint64_t mx = 0;
-  int r = lo;
-  // Gather indices are signed 32-bit element offsets; delegate the whole
-  // range to the scalar tail if the buffer could overflow them.
+  int r = 0;
+  // Gather indices are signed 32-bit element offsets; delegate every row
+  // to the scalar tail if the buffer could overflow them.
   const bool fits =
-      hi <= 0 || static_cast<size_t>(hi) * stride + stride <
-                     (size_t{1} << 31);
-  if (k > 0 && fits && hi - lo >= 4) {
+      nrows <= 0 || static_cast<size_t>(nrows) * stride + stride <
+                        (size_t{1} << 31);
+  if (k > 0 && fits && nrows >= 4) {
     const __m256i vflip = _mm256_set1_epi64x(
         static_cast<long long>(0x8000000000000000ULL));
     __m256i vmn = _mm256_set1_epi64x(0x7fffffffffffffffLL);  // flipped ~0
@@ -340,7 +314,7 @@ HT_AVX2 void PackKeysRange(uint64_t* keys, const int* rows, size_t stride,
     const __m128i vshift = _mm_cvtsi32_si128(bits);
     const int s = static_cast<int>(stride);
     const __m128i row_step = _mm_setr_epi32(0, s, 2 * s, 3 * s);
-    for (; r + 4 <= hi; r += 4) {
+    for (; r + 4 <= nrows; r += 4) {
       __m256i key = _mm256_setzero_si256();
       const int base = r * s;
       for (int i = 0; i < k; ++i) {
@@ -367,7 +341,7 @@ HT_AVX2 void PackKeysRange(uint64_t* keys, const int* rows, size_t stride,
     // The vector loop saw at least one key, so the flipped-domain
     // sentinels can no longer win the reduction; mn/mx are real keys.
   }
-  for (; r < hi; ++r) {
+  for (; r < nrows; ++r) {
     const int* row = rows + static_cast<size_t>(r) * stride;
     uint64_t key = 0;
     for (int i = 0; i < k; ++i) {
@@ -382,12 +356,6 @@ HT_AVX2 void PackKeysRange(uint64_t* keys, const int* rows, size_t stride,
   *out_max = mx;
 }
 
-HT_AVX2 void PackKeys(uint64_t* keys, const int* rows, size_t stride,
-                      const int* pos, int k, int bits, int nrows,
-                      uint64_t* out_min, uint64_t* out_max) {
-  PackKeysRange(keys, rows, stride, pos, k, bits, 0, nrows, out_min, out_max);
-}
-
 /// Per-lane 64x64 -> low-64 multiply from 32x32 partial products
 /// (AVX2 has no epi64 multiply).
 HT_AVX2 inline __m256i Mul64(__m256i a, __m256i b) {
@@ -398,9 +366,9 @@ HT_AVX2 inline __m256i Mul64(__m256i a, __m256i b) {
   return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
 }
 
-HT_AVX2 long ProbeKeysRange(int32_t* out_val, const uint64_t* keys, int lo,
-                            int hi, const uint64_t* slot_keys,
-                            const int32_t* slot_vals, uint64_t mask) {
+HT_AVX2 long ProbeKeys(int32_t* out_val, const uint64_t* keys, int nrows,
+                       const uint64_t* slot_keys, const int32_t* slot_vals,
+                       uint64_t mask) {
   const __m256i c1 =
       _mm256_set1_epi64x(static_cast<long long>(0x9e3779b97f4a7c15ULL));
   const __m256i c2 =
@@ -408,9 +376,9 @@ HT_AVX2 long ProbeKeysRange(int32_t* out_val, const uint64_t* keys, int lo,
   const __m256i c3 =
       _mm256_set1_epi64x(static_cast<long long>(0x94d049bb133111ebULL));
   long collisions = 0;
-  int r = lo;
+  int r = 0;
   alignas(32) uint64_t h[4];
-  for (; r + 4 <= hi; r += 4) {
+  for (; r + 4 <= nrows; r += 4) {
     __m256i x =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + r));
     x = _mm256_add_epi64(x, c1);
@@ -433,7 +401,7 @@ HT_AVX2 long ProbeKeysRange(int32_t* out_val, const uint64_t* keys, int lo,
       out_val[r + t] = val;
     }
   }
-  for (; r < hi; ++r) {
+  for (; r < nrows; ++r) {
     const uint64_t key = keys[r];
     size_t slot = SplitMix64(key) & mask;
     int32_t val = -1;
@@ -448,12 +416,6 @@ HT_AVX2 long ProbeKeysRange(int32_t* out_val, const uint64_t* keys, int lo,
     out_val[r] = val;
   }
   return collisions;
-}
-
-HT_AVX2 long ProbeKeys(int32_t* out_val, const uint64_t* keys, int nrows,
-                       const uint64_t* slot_keys, const int32_t* slot_vals,
-                       uint64_t mask) {
-  return ProbeKeysRange(out_val, keys, 0, nrows, slot_keys, slot_vals, mask);
 }
 
 }  // namespace
@@ -482,18 +444,6 @@ const Ops& Avx2Raw() {
   return table;
 }
 
-const RangeOps& Avx2Range() {
-  static const RangeOps table = {
-      ScoreRowsRange,
-      MaxIntersectRange,
-      FilterRowsNotSubsetRange,
-      OrReduceColumns,
-      PackKeysRange,
-      ProbeKeysRange,
-  };
-  return table;
-}
-
 #undef HT_AVX2
 
 #else  // !HT_KERNELS_HAVE_AVX2_BUILD
@@ -504,8 +454,6 @@ const RangeOps& Avx2Range() {
 bool HaveAvx2() { return false; }
 
 const Ops& Avx2Raw() { return ScalarRaw(); }
-
-const RangeOps& Avx2Range() { return ScalarRange(); }
 
 #endif  // HT_KERNELS_HAVE_AVX2_BUILD
 

@@ -64,14 +64,17 @@ bool WriteFrame(int fd, const std::string& body, std::string* error) {
                         " bytes");
     return false;
   }
-  unsigned char header[4];
+  // Header and body go out in one write: split writes leave the body
+  // waiting on the peer's delayed ACK (Nagle), ~40 ms per frame.
   uint32_t len = static_cast<uint32_t>(body.size());
-  header[0] = static_cast<unsigned char>(len >> 24);
-  header[1] = static_cast<unsigned char>(len >> 16);
-  header[2] = static_cast<unsigned char>(len >> 8);
-  header[3] = static_cast<unsigned char>(len);
-  if (!WriteAll(fd, reinterpret_cast<char*>(header), 4, error)) return false;
-  return WriteAll(fd, body.data(), body.size(), error);
+  std::string frame;
+  frame.reserve(4 + body.size());
+  frame.push_back(static_cast<char>(len >> 24));
+  frame.push_back(static_cast<char>(len >> 16));
+  frame.push_back(static_cast<char>(len >> 8));
+  frame.push_back(static_cast<char>(len));
+  frame += body;
+  return WriteAll(fd, frame.data(), frame.size(), error);
 }
 
 int ReadFrame(int fd, std::string* body, std::string* error,

@@ -20,8 +20,10 @@ namespace hypertree::serve {
 /// hostile length prefix must not trigger a giant allocation).
 inline constexpr size_t kMaxFrameBytes = size_t{64} << 20;
 
-/// Writes one frame to `fd` (handles short writes and EINTR). Returns
-/// false and sets `*error` on failure or oversized bodies.
+/// Writes one frame to `fd`, header and body in one write (handles
+/// short writes and EINTR), so neither side needs socket options to
+/// avoid a delayed-ACK stall. Returns false and sets `*error` on failure
+/// or oversized bodies.
 bool WriteFrame(int fd, const std::string& body, std::string* error);
 
 /// Reads one frame from `fd`. Returns 1 and fills `*body` on success, 0

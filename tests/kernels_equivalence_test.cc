@@ -1,9 +1,8 @@
 // Randomized cross-backend equivalence for the kernel layer: every
 // kernels::Ops primitive must produce byte-identical outputs (including
-// the zero padding of the padded-capacity contract) on scalar, AVX2 and
-// batched backends, over ragged universe sizes that hit the word
-// boundaries (0, 1, 63, 64, 65, 127 bits) and a multi-lane size (4096
-// bits) large enough to cross the batched backend's sharding thresholds.
+// the zero padding of the padded-capacity contract) on the scalar and
+// AVX2 backends, over ragged universe sizes that hit the word boundaries
+// (0, 1, 63, 64, 65, 127 bits) and a multi-lane size (4096 bits).
 
 #include "kernels/kernels.h"
 
@@ -71,17 +70,15 @@ RowArena RandomRows(int bits, int nrows, Rng* rng) {
   return a;
 }
 
-const Backend kBackends[] = {Backend::kScalar, Backend::kAvx2,
-                             Backend::kBatched};
+const Backend kBackends[] = {Backend::kScalar, Backend::kAvx2};
 
 struct Shape {
   int bits;
   int nrows;
 };
 
-// The word-boundary shapes plus one multi-lane shape that crosses the
-// batched backend's row and word sharding thresholds (1200 rows x 64
-// words > kMinRowsToShard / kMinWordsToShard).
+// The word-boundary shapes plus multi-lane shapes: 4096-bit rows span
+// sixteen 256-bit lanes, and 1200 of them make a many-row batch.
 const Shape kShapes[] = {{0, 0},  {1, 1},    {63, 7},    {64, 64},
                          {65, 9}, {127, 33}, {4096, 12}, {4096, 1200}};
 
@@ -212,9 +209,8 @@ TEST(KernelsEquivalence, PackAndProbeKeysMatchScalar) {
   // engine's relation.probe_collisions totals are part of the
   // determinism contract, see tests/parallel_yannakakis_test.cc).
   Rng rng(20250808);
-  // (arity, k, bits, nrows): nrows > kMinKeysToShard in the last shape
-  // exercises the batched backend's wave path; bits=16 with k=4 fills
-  // all 64 key bits.
+  // (arity, k, bits, nrows): the 40000-row shape is the long multi-lane
+  // run; bits=16 with k=4 fills all 64 key bits.
   const int configs[][4] = {
       {1, 1, 1, 0},  {3, 2, 5, 1},    {4, 3, 7, 63},     {5, 4, 16, 1000},
       {2, 1, 20, 64}, {6, 5, 12, 257}, {3, 3, 10, 40000},
@@ -309,8 +305,7 @@ TEST(KernelsDispatch, ParseAndNames) {
   EXPECT_EQ(Backend::kScalar, b);
   EXPECT_TRUE(kernels::ParseBackend("avx2", &b));
   EXPECT_EQ(Backend::kAvx2, b);
-  EXPECT_TRUE(kernels::ParseBackend("batched", &b));
-  EXPECT_EQ(Backend::kBatched, b);
+  EXPECT_FALSE(kernels::ParseBackend("batched", &b));
   EXPECT_FALSE(kernels::ParseBackend("gpu", &b));
   EXPECT_FALSE(kernels::ParseBackend("", &b));
   for (Backend x : kBackends) {

@@ -352,6 +352,12 @@ TEST_F(MorselEngineTest, ParseByteSize) {
   EXPECT_FALSE(ParseByteSize("12x", &v));
   EXPECT_FALSE(ParseByteSize("-5", &v));
   EXPECT_FALSE(ParseByteSize("12 34", &v));
+  // Sizes whose suffix product exceeds LLONG_MAX.
+  EXPECT_FALSE(ParseByteSize("10000000000000000k", &v));
+  EXPECT_FALSE(ParseByteSize("10000000000000m", &v));
+  EXPECT_FALSE(ParseByteSize("10000000000g", &v));
+  EXPECT_TRUE(ParseByteSize("8589934591g", &v));
+  EXPECT_EQ(8589934591LL << 30, v);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "serve/server.h"
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -232,6 +233,54 @@ TEST(ServeServiceTest, EndToEndOverSocket) {
   }
   EXPECT_EQ(lines, 4);
   std::filesystem::remove(options.metrics_path);
+}
+
+TEST(ServeServiceTest, PersistentConnectionRoundTripsDoNotStall) {
+  // A plain client on one kept-open connection: no TCP_NODELAY, no
+  // TCP_QUICKACK. If either side sent a frame's header and body in two
+  // writes, every round trip would wait out the peer's delayed ACK
+  // (~40-90 ms on loopback); one write per frame keeps 20 round trips far
+  // below the bound.
+  ServerOptions options;
+  options.port = 0;
+  std::string error;
+  int bound_port = 0;
+  int listen_fd = serve::ListenLoopback(0, &bound_port, &error);
+  ASSERT_GE(listen_fd, 0) << error;
+
+  DecompositionService service(options);
+  CancellationToken stop;
+  std::thread server([&] {
+    serve::ServeLoop(listen_fd, service, options, stop);
+  });
+
+  int fd = serve::ConnectLoopback(bound_port, &error);
+  EXPECT_GE(fd, 0) << error;
+  if (fd >= 0) {
+    Json ping = Json::Object();
+    ping.Set("op", "ping");
+    const std::string request = ping.Dump();
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < 20; ++i) {
+      std::string body;
+      if (!serve::WriteFrame(fd, request, &error) ||
+          serve::ReadFrame(fd, &body, &error) != 1) {
+        ADD_FAILURE() << "round trip " << i << ": " << error;
+        break;
+      }
+      std::optional<Json> response = Json::Parse(body, &error);
+      EXPECT_TRUE(response.has_value()) << error;
+      EXPECT_EQ(Field(response.value_or(Json()), "status"), "ok");
+    }
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+    EXPECT_LT(ms, 400.0) << "20 ping round trips took " << ms << " ms";
+    ::close(fd);
+  }
+  stop.Cancel();
+  server.join();
+  ::close(listen_fd);
 }
 
 }  // namespace

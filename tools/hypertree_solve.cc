@@ -15,7 +15,7 @@
 //                     report its decomposition cache statistics
 //   --count           also count all solutions
 //   --route=...       td | ghd | bt | all (default all)
-//   --kernel-backend=  auto | scalar | avx2 | batched: bitwise kernel
+//   --kernel-backend=  auto | scalar | avx2: bitwise kernel
 //                     backend for the decomposition inner loops
 //                     (default auto; see docs/KERNELS.md)
 //   --memory-budget=B per-query memory budget for the join engine, with
@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
                  "usage: hypertree_solve [--domain=D] [--tightness=T] "
                  "[--plant] [--seed=N] [--threads=N] [--hw] [--count] "
                  "[--route=td|ghd|bt|all] "
-                 "[--kernel-backend=auto|scalar|avx2|batched] "
+                 "[--kernel-backend=auto|scalar|avx2] "
                  "[--memory-budget=BYTES[k|m|g]] [--json] "
                  "<instance.hg>\n");
     return 2;
@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
     if (!kernels::ParseBackend(kernel_backend, &kb)) {
       std::fprintf(stderr,
                    "error: unknown --kernel-backend \"%s\" (expected auto, "
-                   "scalar, avx2 or batched)\n",
+                   "scalar or avx2)\n",
                    kernel_backend.c_str());
       return 2;
     }
