@@ -1,6 +1,7 @@
 // Microbenchmarks for the flat-storage relation kernel: hash join,
-// semijoin (copying and in-place), projection and indexed membership over
-// generated relations of varying arity, cardinality and join selectivity.
+// semijoin (copying, in-place, and in-place under a memory budget),
+// projection and indexed membership over generated relations of varying
+// arity, cardinality and join selectivity.
 //
 // Selectivity is steered through the value domain: keys drawn from a
 // domain of size `d` give an expected `rows/d` matches per probe, so
@@ -11,6 +12,7 @@
 
 #include <vector>
 
+#include "csp/morsel.h"
 #include "csp/relation.h"
 #include "util/rng.h"
 
@@ -96,6 +98,26 @@ void BM_SemijoinInPlace(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<long>(rows));
 }
 BENCHMARK(BM_SemijoinInPlace)->Args({16384, 64})->Args({16384, 4096});
+
+// BM_SemijoinInPlace's shapes over a 2^20 value domain under a 16 KiB
+// memory budget: the dense bitmap and the hash table are both over
+// budget, so the semijoin grace-partitions both sides through a spill
+// file (the larger-than-core semijoin path).
+void BM_SemijoinInPlaceBudgeted(benchmark::State& state) {
+  int rows = static_cast<int>(state.range(0));
+  int domain = static_cast<int>(state.range(1));
+  Relation r = MakeRelation({0, 1}, rows, domain, 5);
+  Relation s = MakeRelation({1, 2}, rows / 4, domain, 6);
+  SetMemoryBudget(16 << 10);
+  for (auto _ : state) {
+    Relation work = r;
+    work.SemijoinInPlace(s);
+    benchmark::DoNotOptimize(work.data().data());
+  }
+  SetMemoryBudget(0);
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(rows));
+}
+BENCHMARK(BM_SemijoinInPlaceBudgeted)->Args({16384, 1 << 20});
 
 void BM_Project(benchmark::State& state) {
   int rows = static_cast<int>(state.range(0));

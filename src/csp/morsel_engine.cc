@@ -528,31 +528,42 @@ void BuildKeySet(const uint64_t* keys, size_t n, SemiTable* t) {
   }
 }
 
+// Packs the n rows of morsel m of `left` into keys[0, n) and applies the
+// zone map: returns false (counting a skipped morsel) when the morsel's
+// packed-key range misses [bmin, bmax], else counts a processed one.
+bool PackSemijoinMorsel(const Relation& left, const std::vector<int>& pa,
+                        int bits, int m, int n, uint64_t bmin, uint64_t bmax,
+                        std::vector<uint64_t>* keys) {
+  keys->resize(static_cast<size_t>(n));
+  uint64_t mn = 0;
+  uint64_t mx = 0;
+  kernels::Active().PackKeys(keys->data(), MorselData(left, m),
+                             static_cast<size_t>(left.Arity()), pa.data(),
+                             static_cast<int>(pa.size()), bits, n, &mn, &mx);
+  if (mn > bmax || mx < bmin) {
+    MorselsSkipped().Increment();
+    return false;
+  }
+  MorselsProcessed().Increment();
+  return true;
+}
+
 // The semijoin probe loop, one morsel of `left` per work item: pack the
 // morsel's keys, skip it when its zone map misses [t.bmin, t.bmax], and
-// set keep[r] for every row whose key is in t. keep[] bits are only ever
-// set, so repeated probes (one per grace partition) union. Returns the
-// probe collisions.
+// set keep[r] for every row whose key is in t. Returns the probe
+// collisions.
 long ProbeSemijoin(const Relation& left, const std::vector<int>& pa,
                    int bits, const SemiTable& t, ThreadPool* pool,
                    uint8_t* keep) {
-  const size_t arity = static_cast<size_t>(left.Arity());
-  const int k = static_cast<int>(pa.size());
   const kernels::Ops& ops = kernels::Active();
   std::atomic<long> collisions{0};
   ForEachMorsel(left.Size(), pool, [&](int m, int lo, int hi) {
     const int n = hi - lo;
     ChunkBufs bufs;
-    bufs.keys.resize(static_cast<size_t>(n));
-    uint64_t mn = 0;
-    uint64_t mx = 0;
-    ops.PackKeys(bufs.keys.data(), MorselData(left, m), arity, pa.data(), k,
-                 bits, n, &mn, &mx);
-    if (mn > t.bmax || mx < t.bmin) {
-      MorselsSkipped().Increment();
+    if (!PackSemijoinMorsel(left, pa, bits, m, n, t.bmin, t.bmax,
+                            &bufs.keys)) {
       return;
     }
-    MorselsProcessed().Increment();
     if (t.dense) {
       for (int r = 0; r < n; ++r) {
         const uint64_t key = bufs.keys[r];
@@ -574,9 +585,47 @@ long ProbeSemijoin(const Relation& left, const std::vector<int>& pa,
   return collisions.load(std::memory_order_relaxed);
 }
 
-// Grace (radix) partitioned build side: partitions the build keys to a
-// spill file by the top hash bits, then builds one small key set per
-// partition and probes every left morsel against it. Returns the probe
+// One grace partition of a partitioned semijoin: its staging buffer and
+// the runs it flushed to the spill file. A build run is `n` packed keys;
+// a probe run is `n` packed keys followed by their `n` left row indices.
+struct GracePartition {
+  struct Run {
+    long long off = 0;
+    int n = 0;
+  };
+  std::vector<uint64_t> keys;  // staging
+  std::vector<int32_t> rows;   // staging (probe side only)
+  std::vector<Run> build;
+  std::vector<Run> probe;
+};
+
+// Reads `runs` back in order: their keys into *keys and, for probe runs
+// (rows != nullptr), their left row indices into *rows.
+void ReadRuns(const SpillFile& file,
+              const std::vector<GracePartition::Run>& runs,
+              std::vector<uint64_t>* keys, std::vector<int32_t>* rows) {
+  keys->clear();
+  if (rows != nullptr) rows->clear();
+  for (const GracePartition::Run& run : runs) {
+    const size_t at = keys->size();
+    const size_t n = static_cast<size_t>(run.n);
+    keys->resize(at + n);
+    file.ReadAt(run.off, keys->data() + at, n * sizeof(uint64_t));
+    if (rows == nullptr) continue;
+    rows->resize(at + n);
+    file.ReadAt(run.off + static_cast<long long>(n * sizeof(uint64_t)),
+                rows->data() + at, n * sizeof(int32_t));
+  }
+}
+
+// Grace (radix) partitioned semijoin: both sides are split to a spill
+// file by the top SplitMix64 bits of the packed key — first the build
+// keys in packed order (which fixes each partition table's slot layout),
+// then, from each left morsel packed once under the zone map, every
+// in-range row as a (packed key, row index) pair. Each partition then
+// runs as one work item: a key set over its build keys and one probe
+// over its pairs. A left row lands in exactly one partition, so
+// concurrent partitions set disjoint keep[] entries. Returns the probe
 // collisions.
 long PartitionedSemijoin(const Relation& left, const std::vector<int>& pa,
                          int bits, const std::vector<uint64_t>& rkeys,
@@ -596,50 +645,77 @@ long PartitionedSemijoin(const Relation& left, const std::vector<int>& pa,
   SpillFile file;
   file.Open();
   constexpr size_t kStageKeys = 1024;
-  std::vector<std::vector<uint64_t>> stage(static_cast<size_t>(parts));
-  std::vector<std::vector<std::pair<long long, int>>> extents(
-      static_cast<size_t>(parts));
-  auto flush = [&](int p) {
-    std::vector<uint64_t>& s = stage[p];
-    if (s.empty()) return;
-    const long long bytes =
-        static_cast<long long>(s.size()) * sizeof(uint64_t);
-    const long long off = file.Allocate(bytes);
-    file.WriteAt(off, s.data(), static_cast<size_t>(bytes));
-    extents[p].emplace_back(off, static_cast<int>(s.size()));
-    s.clear();
+  std::vector<GracePartition> part(static_cast<size_t>(parts));
+  auto flush = [&](GracePartition& p,
+                   std::vector<GracePartition::Run>* runs) {
+    if (p.keys.empty()) return;
+    const size_t key_bytes = p.keys.size() * sizeof(uint64_t);
+    const size_t row_bytes = p.rows.size() * sizeof(int32_t);
+    const long long off =
+        file.Allocate(static_cast<long long>(key_bytes + row_bytes));
+    file.WriteAt(off, p.keys.data(), key_bytes);
+    if (row_bytes > 0) {
+      file.WriteAt(off + static_cast<long long>(key_bytes), p.rows.data(),
+                   row_bytes);
+    }
+    runs->push_back({off, static_cast<int>(p.keys.size())});
+    p.keys.clear();
+    p.rows.clear();
+  };
+  auto partition_of = [&](uint64_t key) -> GracePartition& {
+    return part[static_cast<size_t>(kernels::SplitMix64(key) >> shift)];
   };
   for (const uint64_t key : rkeys) {
-    const int p = static_cast<int>(kernels::SplitMix64(key) >> shift);
-    stage[p].push_back(key);
-    if (stage[p].size() >= kStageKeys) flush(p);
+    GracePartition& p = partition_of(key);
+    p.keys.push_back(key);
+    if (p.keys.size() >= kStageKeys) flush(p, &p.build);
   }
-  for (int p = 0; p < parts; ++p) flush(p);
-  SpillPartitions().Add(parts);
-  SpillBytes().Add(static_cast<long>(rkeys.size() * sizeof(uint64_t)));
+  for (GracePartition& p : part) flush(p, &p.build);
 
-  long collisions = 0;
-  std::vector<uint64_t> pkeys;
-  for (int p = 0; p < parts; ++p) {
-    long nkeys = 0;
-    for (const auto& e : extents[p]) nkeys += e.second;
-    if (nkeys == 0) continue;
-    pkeys.resize(static_cast<size_t>(nkeys));
-    long at = 0;
-    for (const auto& e : extents[p]) {
-      file.ReadAt(e.first, pkeys.data() + at,
-                  static_cast<size_t>(e.second) * sizeof(uint64_t));
-      at += e.second;
+  long staged = 0;
+  std::vector<uint64_t> keys;
+  ForEachMorsel(left.Size(), /*pool=*/nullptr, [&](int m, int lo, int hi) {
+    if (!PackSemijoinMorsel(left, pa, bits, m, hi - lo, bmin, bmax, &keys)) {
+      return;
     }
-    // The zone map stays the whole build range; only the key set is
-    // per partition.
+    for (int r = 0; r < hi - lo; ++r) {
+      const uint64_t key = keys[r];
+      if (key < bmin || key > bmax) continue;
+      GracePartition& p = partition_of(key);
+      p.keys.push_back(key);
+      p.rows.push_back(lo + r);
+      ++staged;
+      if (p.keys.size() >= kStageKeys) flush(p, &p.probe);
+    }
+  });
+  for (GracePartition& p : part) flush(p, &p.probe);
+  SpillPartitions().Add(parts);
+  SpillBytes().Add(static_cast<long>(
+      rkeys.size() * sizeof(uint64_t) +
+      static_cast<size_t>(staged) * (sizeof(uint64_t) + sizeof(int32_t))));
+
+  const kernels::Ops& ops = kernels::Active();
+  std::atomic<long> collisions{0};
+  ParallelFor(parts, pool, [&](int i) {
+    const GracePartition& p = part[static_cast<size_t>(i)];
+    if (p.build.empty() || p.probe.empty()) return;
+    std::vector<uint64_t> pkeys;
+    std::vector<int32_t> prows;
+    ReadRuns(file, p.build, &pkeys, nullptr);
     SemiTable t;
-    t.bmin = bmin;
-    t.bmax = bmax;
     BuildKeySet(pkeys.data(), pkeys.size(), &t);
-    collisions += ProbeSemijoin(left, pa, bits, t, pool, keep);
-  }
-  return collisions;
+    ReadRuns(file, p.probe, &pkeys, &prows);
+    std::vector<int32_t> vals(pkeys.size());
+    const long c = ops.ProbeKeys(vals.data(), pkeys.data(),
+                                 static_cast<int>(pkeys.size()),
+                                 t.slot_keys.data(), t.slot_vals.data(),
+                                 t.mask);
+    collisions.fetch_add(c, std::memory_order_relaxed);
+    for (size_t j = 0; j < vals.size(); ++j) {
+      if (vals[j] >= 0) keep[prows[j]] = 1;
+    }
+  });
+  return collisions.load(std::memory_order_relaxed);
 }
 
 void PackedSemijoin(Relation* left, const Relation& right,

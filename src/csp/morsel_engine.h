@@ -19,11 +19,14 @@
 //           do not pack (negative values, > 64 bits total).
 //
 // Larger-than-core: when the per-query MemoryBudget() is exceeded, join
-// outputs spill to a temp file as ChunkedRelation chunks, and semijoin
-// build sides grace-partition (radix on the packed-key hash) to disk,
-// each partition processed independently. Spill decisions are pure
-// functions of exact pre-pass sizes, so answers stay bit-identical
-// spill-on and spill-off (docs/SOLVING.md).
+// outputs spill to a temp file as ChunkedRelation chunks, and a semijoin
+// whose build table is over budget grace-partitions both sides (radix on
+// the packed-key hash) to disk: build keys, then each in-range left row
+// as a (key, row) pair, every left morsel packed once. Each partition is
+// one work item that probes its own small key set, so each left row is
+// still probed once. Spill decisions are pure functions of exact
+// pre-pass sizes, so answers stay bit-identical spill-on and spill-off
+// (docs/SOLVING.md).
 
 #ifndef HYPERTREE_CSP_MORSEL_ENGINE_H_
 #define HYPERTREE_CSP_MORSEL_ENGINE_H_

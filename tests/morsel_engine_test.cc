@@ -12,10 +12,12 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "csp/morsel.h"
 #include "csp/relation.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -313,26 +315,99 @@ TEST_F(MorselEngineTest, SpilledJoinChainBitIdenticalToUnlimited) {
   }
 }
 
+// Registry deltas of one EngineSemijoinInPlace call.
+struct SemijoinDeltas {
+  long morsels = 0;  // relation.morsels.processed + relation.morsels.skipped
+  long skipped = 0;
+  long collisions = 0;
+  long partitions = 0;
+};
+
+Relation SemijoinWithDeltas(const Relation& left, const Relation& right,
+                            ThreadPool* pool, SemijoinDeltas* d) {
+  metrics::Counter& collisions =
+      metrics::GetCounter("relation.probe_collisions");
+  const long processed0 = MorselsProcessed().Value();
+  const long skipped0 = MorselsSkipped().Value();
+  const long collisions0 = collisions.Value();
+  const long partitions0 = SpillPartitions().Value();
+  Relation out = left;
+  EngineSemijoinInPlace(&out, right, pool);
+  d->skipped = MorselsSkipped().Value() - skipped0;
+  d->morsels = MorselsProcessed().Value() - processed0 + d->skipped;
+  d->collisions = collisions.Value() - collisions0;
+  d->partitions = SpillPartitions().Value() - partitions0;
+  return out;
+}
+
 TEST_F(MorselEngineTest, PartitionedSemijoinMatchesUnlimited) {
   Rng rng(6);
   ThreadPool pool(4);
+  // Runs left ⋉ right under `budget`, serially and on the pool. Both runs
+  // must equal `want` byte for byte, run one morsel work item per left
+  // morsel however many partitions the build side takes, and report the
+  // same probe collisions. Returns the serial run's deltas.
+  auto expect_budgeted = [&](const Relation& left, const Relation& right,
+                             const Relation& want, long long budget) {
+    SetMemoryBudget(budget);
+    SemijoinDeltas serial;
+    SemijoinDeltas pooled;
+    ExpectSame(want, SemijoinWithDeltas(left, right, nullptr, &serial));
+    ExpectSame(want, SemijoinWithDeltas(left, right, &pool, &pooled));
+    SetMemoryBudget(0);
+    EXPECT_EQ(MorselCount(left.Size()), serial.morsels);
+    EXPECT_EQ(MorselCount(left.Size()), pooled.morsels);
+    EXPECT_EQ(serial.collisions, pooled.collisions);
+    EXPECT_EQ(serial.partitions, pooled.partitions);
+    return serial;
+  };
+
+  // The reference here is the unlimited (hash-mode) semijoin, which
+  // SemijoinMatchesNaiveAllModes checks against NaiveSemijoin: a nested-
+  // loop pass over 20000 x 20000 rows would dominate the test under TSan.
   Relation left = RandomRelation({0, 1}, 20000, 0, 3000000, &rng);
   Relation right = RandomRelation({1, 2}, 20000, 0, 3000000, &rng);
-  SetMemoryBudget(0);
-  Relation want = left;
-  EngineSemijoinInPlace(&want, right, nullptr);
+  SemijoinDeltas unlimited;
+  const Relation want = SemijoinWithDeltas(left, right, nullptr, &unlimited);
+  EXPECT_EQ(MorselCount(left.Size()), unlimited.morsels);
+  EXPECT_EQ(0, unlimited.partitions);
   // A budget far below the hash-table footprint forces the grace
   // partitioning path (the dense bitmap is also over budget).
-  SetMemoryBudget(16 << 10);
-  const long spills_before = SpillPartitions().Value();
-  Relation got = left;
-  EngineSemijoinInPlace(&got, right, nullptr);
-  EXPECT_GT(SpillPartitions().Value(), spills_before)
+  EXPECT_GT(expect_budgeted(left, right, want, 16 << 10).partitions, 0)
       << "budgeted semijoin never partitioned — the test lost its point";
-  ExpectSame(want, got);
-  Relation pooled = left;
-  EngineSemijoinInPlace(&pooled, right, &pool);
-  ExpectSame(want, pooled);
+
+  {
+    SCOPED_TRACE("two-column key");
+    const Relation l2 = RandomRelation({0, 1, 2}, 9000, 0, 200, &rng);
+    const Relation r2 = RandomRelation({1, 2, 3}, 3000, 0, 200, &rng);
+    EXPECT_GT(expect_budgeted(l2, r2, NaiveSemijoin(l2, r2), 4 << 10)
+                  .partitions,
+              0);
+  }
+
+  {
+    SCOPED_TRACE("left keys partly outside the build range");
+    // The first left morsel lies wholly below the build range (a zone-map
+    // skip); the rest straddle it, so rows are dropped one by one, and
+    // many sit exactly on its ends. An 8-byte budget puts even this
+    // small key span over budget.
+    Relation l3 = RandomRelation({0, 1}, kMorselRows, 0, 99, &rng);
+    const Relation tail = RandomRelation({0, 1}, 6000, 0, 300, &rng);
+    for (int t = 0; t < tail.Size(); ++t) l3.AddRow(tail.Row(t));
+    const Relation r3 = RandomRelation({1, 2}, 4000, 100, 200, &rng);
+    const SemijoinDeltas d = expect_budgeted(l3, r3, NaiveSemijoin(l3, r3), 8);
+    EXPECT_GT(d.partitions, 0);
+    EXPECT_GE(d.skipped, 1);
+  }
+
+  // Randomized sweep: random budgets from absurdly small on up must
+  // never change a byte, serially or pooled.
+  for (int trial = 0; trial < 6; ++trial) {
+    const long long budget =
+        1 + static_cast<long long>(rng.UniformInt(1 << 20));
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    expect_budgeted(left, right, want, budget);
+  }
 }
 
 TEST_F(MorselEngineTest, ParseByteSize) {
