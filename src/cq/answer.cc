@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 
+#include "csp/decomposition_solving.h"
 #include "csp/morsel_engine.h"
 #include "csp/tree_schedule.h"
 #include "ghd/ghw_from_ordering.h"
@@ -19,55 +21,106 @@ void SetError(std::string* error, const std::string& msg) {
   if (error != nullptr) *error = msg;
 }
 
-// Binds atom `a` of `q` to its table: schema = distinct variable ids (in
-// first-occurrence order), rows filtered for repeated-variable equality.
-bool BindAtom(const Atom& atom, const std::map<std::string, int>& var_id,
-              const Database& db, Relation* out, std::string* error) {
-  const Table* table = db.GetTable(atom.relation);
-  if (table == nullptr) {
+// An atom resolved against its table. rep[i] is the first column holding
+// column i's variable; `schema` lists the distinct variable ids in
+// first-occurrence order, bound by the columns `keep_cols`.
+struct ResolvedAtom {
+  const Table* table = nullptr;
+  std::vector<int> rep;
+  std::vector<int> schema;
+  std::vector<int> keep_cols;
+
+  // True when the row's repeated-variable columns agree.
+  bool Matches(const std::vector<int>& row) const {
+    for (size_t i = 0; i < row.size(); ++i) {
+      if (row[i] != row[rep[i]]) return false;
+    }
+    return true;
+  }
+};
+
+// Looks the atom's table up and checks its arity.
+bool ResolveAtom(const Atom& atom, const std::map<std::string, int>& var_id,
+                 const Database& db, ResolvedAtom* out, std::string* error) {
+  out->table = db.GetTable(atom.relation);
+  if (out->table == nullptr) {
     SetError(error, "unknown relation: " + atom.relation);
     return false;
   }
-  if (table->arity != static_cast<int>(atom.vars.size())) {
+  if (out->table->arity != static_cast<int>(atom.vars.size())) {
     SetError(error, "arity mismatch for " + atom.relation);
     return false;
   }
-  // Distinct variables and the column positions they bind.
-  std::vector<int> schema;
-  std::vector<int> rep;  // rep[i] = first column with the same variable
-  std::vector<int> keep_cols;
-  {
-    std::map<int, int> first_col;
-    rep.resize(atom.vars.size());
-    for (size_t i = 0; i < atom.vars.size(); ++i) {
-      int v = var_id.at(atom.vars[i]);
-      auto it = first_col.find(v);
-      if (it == first_col.end()) {
-        first_col[v] = static_cast<int>(i);
-        rep[i] = static_cast<int>(i);
-        schema.push_back(v);
-        keep_cols.push_back(static_cast<int>(i));
-      } else {
-        rep[i] = it->second;
-      }
+  std::map<int, int> first_col;
+  out->rep.resize(atom.vars.size());
+  for (size_t i = 0; i < atom.vars.size(); ++i) {
+    int v = var_id.at(atom.vars[i]);
+    auto it = first_col.find(v);
+    if (it == first_col.end()) {
+      first_col[v] = static_cast<int>(i);
+      out->rep[i] = static_cast<int>(i);
+      out->schema.push_back(v);
+      out->keep_cols.push_back(static_cast<int>(i));
+    } else {
+      out->rep[i] = it->second;
     }
   }
-  Relation r(schema);
+  return true;
+}
+
+// Binds one atom for BruteForceAnswer: rows filtered for repeated-variable
+// equality, then deduplicated one at a time through InsertIfAbsent (set
+// semantics: repeated table rows must not repeat answers). Kept apart
+// from AnswerQuery's shared binding so the reference stays independent
+// of the path it checks.
+bool BindAtom(const Atom& atom, const std::map<std::string, int>& var_id,
+              const Database& db, Relation* out, std::string* error) {
+  ResolvedAtom ra;
+  if (!ResolveAtom(atom, var_id, db, &ra, error)) return false;
+  Relation r(ra.schema);
   std::vector<int> tuple;
-  for (const auto& row : table->rows) {
-    bool ok = true;
-    for (size_t i = 0; i < row.size() && ok; ++i) {
-      if (rep[i] != static_cast<int>(i) && row[i] != row[rep[i]]) ok = false;
-    }
-    if (!ok) continue;
+  for (const auto& row : ra.table->rows) {
+    if (!ra.Matches(row)) continue;
     tuple.clear();
-    for (int c : keep_cols) tuple.push_back(row[c]);
-    // Deduplicate: repeated rows in the table must not duplicate answers
-    // beyond set semantics. InsertIfAbsent keeps this linear via the
-    // relation's row index (the old Contains scan was quadratic).
+    for (int c : ra.keep_cols) tuple.push_back(row[c]);
     r.InsertIfAbsent(tuple.data());
   }
   *out = std::move(r);
+  return true;
+}
+
+// Binds every atom of `q`. Atoms that read one table under one
+// repeated-variable pattern share one binding: a filter pass over the
+// table, deduplicated on the kept columns by EngineProject (first
+// occurrence wins, as with InsertIfAbsent), whose rows each atom then
+// takes under its own variable ids.
+bool BindAtoms(const ConjunctiveQuery& q,
+               const std::map<std::string, int>& var_id, const Database& db,
+               ThreadPool* pool, std::vector<Relation>* bound,
+               std::string* error) {
+  // Keyed by (table, rep); the schema is the kept column positions.
+  std::map<std::pair<std::string, std::vector<int>>, Relation> shared;
+  bound->clear();
+  for (const Atom& atom : q.atoms) {
+    ResolvedAtom ra;
+    if (!ResolveAtom(atom, var_id, db, &ra, error)) return false;
+    auto [it, fresh] = shared.try_emplace({atom.relation, ra.rep});
+    if (fresh) {
+      std::vector<int> columns(ra.rep.size());
+      std::iota(columns.begin(), columns.end(), 0);
+      Relation filtered(columns);
+      filtered.Reserve(static_cast<int>(ra.table->rows.size()));
+      for (const auto& row : ra.table->rows) {
+        if (ra.Matches(row)) filtered.AddRow(row.data());
+      }
+      it->second = EngineProject(filtered, ra.keep_cols, pool);
+    }
+    const Relation& rows = it->second;
+    Relation r(ra.schema);
+    r.Reserve(rows.Size());
+    for (int i = 0; i < rows.Size(); ++i) r.AddRow(rows.Row(i));
+    bound->push_back(std::move(r));
+  }
   return true;
 }
 
@@ -90,13 +143,8 @@ std::optional<Relation> AnswerQuery(const ConjunctiveQuery& q,
     }
   }
 
-  // Bind every atom.
-  std::vector<Relation> bound(q.atoms.size());
-  for (size_t a = 0; a < q.atoms.size(); ++a) {
-    if (!BindAtom(q.atoms[a], var_id, db, &bound[a], error)) {
-      return std::nullopt;
-    }
-  }
+  std::vector<Relation> bound;
+  if (!BindAtoms(q, var_id, db, pool, &bound, error)) return std::nullopt;
 
   // Decompose the query hypergraph (min-fill + exact covers) and complete
   // it so every atom is enforced at some node.
@@ -136,25 +184,9 @@ std::optional<Relation> AnswerQuery(const ConjunctiveQuery& q,
   std::vector<Relation> rel(m);
   std::vector<long> node_tuples(m, 0);
   RunForAll(m, pool, [&ghd, &bound, &rel, &node_tuples, pool](int p) {
-    const std::vector<int>& lambda = ghd.Lambda(p);
-    HT_CHECK(!lambda.empty() || ghd.td().Bag(p).None());
-    // Chunked join chain: atom-join intermediates beyond the memory
-    // budget spill to disk; the projection streams them back morsel by
-    // morsel, so only the projected bag is ever fully resident.
-    ChunkedRelation acc;
-    bool first = true;
-    for (int e : lambda) {
-      acc = first ? ChunkedRelation(bound[e])
-                  : EngineJoinChunked(acc, bound[e], pool);
-      first = false;
-    }
-    std::vector<int> chi = ghd.td().Bag(p).ToVector();
-    if (first) {
-      rel[p] = Relation(chi);
-      rel[p].AddTuple({});
-    } else {
-      rel[p] = EngineProjectChunked(acc, chi, pool);
-    }
+    std::vector<const Relation*> lambda;
+    for (int e : ghd.Lambda(p)) lambda.push_back(&bound[e]);
+    rel[p] = MaterializeBag(lambda, ghd.td().Bag(p).ToVector(), pool);
     node_tuples[p] = rel[p].Size();
   });
 

@@ -107,6 +107,12 @@ std::optional<ConjunctiveQuery> ParseConjunctiveQuery(const std::string& text,
   while (true) {
     Atom atom;
     if (!ParseAtom(text, &i, &atom, error)) return std::nullopt;
+    // A body atom is a hyperedge of the query hypergraph, which must not
+    // be empty (a Boolean head, `ans()`, is fine).
+    if (atom.vars.empty()) {
+      SetError(error, "body atom " + atom.relation + " has no variables");
+      return std::nullopt;
+    }
     q.atoms.push_back(std::move(atom));
     while (i < text.size() &&
            (std::isspace(static_cast<unsigned char>(text[i])) ||

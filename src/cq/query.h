@@ -38,7 +38,8 @@ struct ConjunctiveQuery {
 };
 
 /// Parses "head(X, Y) :- atom1(X, Z), atom2(Z, Y)." (trailing period
-/// optional; any head predicate name is accepted).
+/// optional; any head predicate name is accepted). The head may be empty
+/// (a Boolean query); a body atom with no variables is an error.
 std::optional<ConjunctiveQuery> ParseConjunctiveQuery(
     const std::string& text, std::string* error = nullptr);
 

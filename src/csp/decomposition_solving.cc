@@ -1,6 +1,7 @@
 #include "csp/decomposition_solving.h"
 
 #include <algorithm>
+#include <map>
 
 #include "csp/morsel_engine.h"
 #include "csp/tree_schedule.h"
@@ -175,52 +176,92 @@ RelationTree BuildRelationTreeFromGhd(
   HT_CHECK(ghd.td().NumGraphVertices() == csp.NumVariables());
   // Work on a completed copy so every constraint participates in some
   // node's join (Lemma 2 keeps the width unchanged).
+  Hypergraph h = csp.ConstraintHypergraph();
   GeneralizedHypertreeDecomposition complete = ghd;
-  complete.MakeComplete(csp.ConstraintHypergraph());
+  complete.MakeComplete(h);
 
   // Relations per hyperedge of the constraint hypergraph: the constraints
-  // first, then domain enumerations for constraint-free variables.
-  Hypergraph h = csp.ConstraintHypergraph();
-  auto edge_relation = [&csp, &h](int e) {
-    if (e < csp.NumConstraints()) return csp.GetConstraint(e).relation;
+  // first (used in place), then domain enumerations for constraint-free
+  // variables (built once here).
+  std::vector<Relation> domains;
+  for (int e = csp.NumConstraints(); e < h.NumEdges(); ++e) {
     std::vector<int> vars = h.EdgeVertices(e);
     Relation r(vars);
     for (int val = 0; val < csp.DomainSize(vars[0]); ++val) r.AddTuple({val});
-    return r;
+    domains.push_back(std::move(r));
+  }
+  auto edge_relation = [&csp, &domains](int e) {
+    return e < csp.NumConstraints()
+               ? &csp.GetConstraint(e).relation
+               : &domains[static_cast<size_t>(e - csp.NumConstraints())];
   };
 
   RelationTree tree;
   int m = complete.NumNodes();
   tree.relations.resize(m);
   // Per-node bag joins are independent; fan them out over the pool. The
-  // join chain runs chunked: intermediates larger than the memory budget
-  // spill to disk and the final projection streams them back one morsel
-  // at a time, so peak residency is bounded by the budget plus one bag.
+  // bags only read the edge relations, so they share them.
   RunForAll(m, pool, [&complete, &edge_relation, &tree, pool](int p) {
-    const std::vector<int>& lambda = complete.Lambda(p);
-    HT_CHECK_MSG(!lambda.empty() || complete.td().Bag(p).None(),
-                 "GHD node with vertices but empty lambda");
-    ChunkedRelation acc;
-    bool first = true;
-    for (int e : lambda) {
-      Relation r = edge_relation(e);
-      acc = first ? ChunkedRelation(std::move(r))
-                  : EngineJoinChunked(acc, r, pool);
-      first = false;
-    }
-    std::vector<int> chi = complete.td().Bag(p).ToVector();
-    if (first) {
-      // Empty lambda is only legal for an empty bag; its relation is the
-      // identity (one empty tuple) so semijoins pass through.
-      Relation identity(chi);
-      identity.AddTuple({});
-      tree.relations[p] = std::move(identity);
-    } else {
-      tree.relations[p] = EngineProjectChunked(acc, chi, pool);
-    }
+    std::vector<const Relation*> lambda;
+    for (int e : complete.Lambda(p)) lambda.push_back(edge_relation(e));
+    tree.relations[p] =
+        MaterializeBag(lambda, complete.td().Bag(p).ToVector(), pool);
   });
   RootTree(m, complete.td().TreeEdges(), &tree.parent, &tree.root);
   return tree;
+}
+
+Relation MaterializeBag(const std::vector<const Relation*>& lambda,
+                        const std::vector<int>& chi, ThreadPool* pool) {
+  HT_CHECK_MSG(!lambda.empty() || chi.empty(),
+               "GHD node with vertices but empty lambda");
+  if (lambda.empty()) {
+    // The identity (one empty tuple), so semijoins pass through.
+    Relation identity(chi);
+    identity.AddTuple({});
+    return identity;
+  }
+  // last[v]: the last lambda position whose schema holds v; chi's
+  // variables are read by the final projection, past every position.
+  std::map<int, size_t> last;
+  for (size_t i = 0; i < lambda.size(); ++i) {
+    for (int v : lambda[i]->schema()) last[v] = i;
+  }
+  for (int v : chi) last[v] = lambda.size();
+  // The columns of `schema` still read once lambda[0, next) is joined.
+  auto live = [&last](const std::vector<int>& schema, size_t next) {
+    std::vector<int> keep;
+    for (int v : schema) {
+      if (last.at(v) >= next) keep.push_back(v);
+    }
+    return keep;
+  };
+
+  // Projecting early leaves the bag and its row order as they were: the
+  // kept columns fix both a row's chi-part and which later rows it
+  // matches, so a dropped duplicate row would only have repeated an
+  // earlier run of output rows, all of which the final projection drops.
+  //
+  // Under a memory budget a join output beyond it spills to disk
+  // (EngineJoinChunked) and the next projection streams it back chunk by
+  // chunk. Each projection's output is resident, like the bag, and a
+  // hash-mode projection sizes its dedup table and output by its input's
+  // row count, so peak residency is not bounded by the budget alone.
+  const Relation& first = *lambda[0];
+  if (lambda.size() == 1) return EngineProject(first, chi, pool);
+  std::vector<int> keep = live(first.schema(), 1);
+  ChunkedRelation acc(keep.size() < first.schema().size()
+                          ? EngineProject(first, keep, pool)
+                          : first);
+  for (size_t i = 1; i < lambda.size(); ++i) {
+    acc = EngineJoinChunked(acc, *lambda[i], pool);
+    if (i + 1 == lambda.size()) break;
+    keep = live(acc.schema(), i + 1);
+    if (keep.size() < acc.schema().size()) {
+      acc = ChunkedRelation(EngineProjectChunked(acc, keep, pool));
+    }
+  }
+  return EngineProjectChunked(acc, chi, pool);
 }
 
 std::optional<std::vector<int>> SolveViaTreeDecomposition(

@@ -59,6 +59,17 @@ RelationTree BuildRelationTreeFromGhd(
     const Csp& csp, const GeneralizedHypertreeDecomposition& ghd,
     ThreadPool* pool = nullptr);
 
+/// One GHD node's relation pi_chi(join of `lambda`), the bag materializer
+/// shared by GHD solving and CQ answering. The chain joins the relations
+/// in lambda order and, before each join, projects away the columns that
+/// neither `chi` nor a relation still to come holds; the bag (schema
+/// `chi`, rows and row order) equals that of projecting the full join.
+/// An empty `lambda` is legal only for an empty `chi` and yields the
+/// identity relation (one empty tuple). Intermediates follow the memory
+/// budget of the morsel engine (docs/SOLVING.md); the bag is resident.
+Relation MaterializeBag(const std::vector<const Relation*>& lambda,
+                        const std::vector<int>& chi, ThreadPool* pool);
+
 }  // namespace hypertree
 
 #endif  // HYPERTREE_CSP_DECOMPOSITION_SOLVING_H_

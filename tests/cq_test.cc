@@ -41,6 +41,14 @@ TEST(CqParserTest, ErrorsAreReported) {
   EXPECT_FALSE(error.empty());
   EXPECT_FALSE(ParseConjunctiveQuery("ans(W) :- r(X, Y).", &error).has_value());
   EXPECT_NE(error.find("W"), std::string::npos);  // unbound head var
+  // A body atom needs a variable (it is a hyperedge of the query
+  // hypergraph); an empty head is a Boolean query and stays legal.
+  error.clear();
+  EXPECT_FALSE(ParseConjunctiveQuery("ans() :- t().", &error).has_value());
+  EXPECT_NE(error.find("no variables"), std::string::npos);
+  EXPECT_FALSE(
+      ParseConjunctiveQuery("ans(X) :- r(X, Y), t().", &error).has_value());
+  EXPECT_TRUE(ParseConjunctiveQuery("ans() :- t(X).", &error).has_value());
 }
 
 TEST(CqParserTest, QueryHypergraphStructure) {
@@ -136,6 +144,10 @@ TEST_P(CqRandomAgreementTest, RandomQueriesMatchBruteForce) {
       "ans(X) :- a(X, Y), b(Y, X).",
       "ans(Y, Z) :- a(X, Y), a(X, Z).",
       "ans() :- a(X, Y), b(Y, Z), c(Z, X).",
+      // One table under several repeated-variable patterns in one query.
+      "ans(X, Y) :- a(X, X), a(X, Y), a(Y, Z), b(Z, Z).",
+      "ans(X, Z) :- a(X, Y), a(Y, Y), a(Y, X), b(Y, Z), b(Z, Z).",
+      "ans() :- c(X, X), c(X, Y), c(Y, Y), c(Y, X).",
   };
   for (const char* text : queries) {
     auto q = ParseConjunctiveQuery(text);
