@@ -7,6 +7,7 @@
 #include "csp/decomposition_solving.h"
 #include "csp/morsel_engine.h"
 #include "csp/tree_schedule.h"
+#include "csp/yannakakis.h"
 #include "ghd/ghw_from_ordering.h"
 #include "ordering/heuristics.h"
 #include "util/check.h"
@@ -129,6 +130,7 @@ bool BindAtoms(const ConjunctiveQuery& q,
 std::optional<Relation> AnswerQuery(const ConjunctiveQuery& q,
                                     const Database& db, std::string* error,
                                     AnswerStats* stats, ThreadPool* pool) {
+  if (!ValidateConjunctiveQuery(q, error)) return std::nullopt;
   std::vector<std::string> vars = q.Variables();
   std::map<std::string, int> var_id;
   for (size_t i = 0; i < vars.size(); ++i) var_id[vars[i]] = static_cast<int>(i);
@@ -157,79 +159,50 @@ std::optional<Relation> AnswerQuery(const ConjunctiveQuery& q,
   ghd.MakeComplete(h);
   if (stats != nullptr) stats->decomposition_width = ghd.Width();
 
-  int m = ghd.NumNodes();
-  // Root the decomposition tree and compute orders.
-  std::vector<std::vector<int>> children(m);
-  std::vector<int> parent(m, -1), order = {0};
-  {
-    std::vector<bool> seen(m, false);
-    seen[0] = true;
-    for (size_t i = 0; i < order.size(); ++i) {
-      for (int qn : ghd.td().TreeNeighbors(order[i])) {
-        if (!seen[qn]) {
-          seen[qn] = true;
-          parent[qn] = order[i];
-          children[order[i]].push_back(qn);
-          order.push_back(qn);
-        }
-      }
-    }
-    HT_CHECK(static_cast<int>(order.size()) == m);
+  // Node relations pi_chi(join of lambda atoms), the same builder as GHD
+  // solving; then the full reduction.
+  std::vector<const Relation*> edge_relations;
+  for (const Relation& r : bound) edge_relations.push_back(&r);
+  RelationTree tree = BuildRelationTreeFromGhd(ghd, edge_relations, pool);
+  const TreeShape& shape = tree.shape;
+  const int m = shape.NumNodes();
+  long intermediate = 0;
+  for (const Relation& r : tree.relations) intermediate += r.Size();
+  if (!FullyReduce(&tree, pool)) {
+    // No consistent combination: the answer is empty, with nothing to
+    // enumerate.
+    if (stats != nullptr) stats->intermediate_tuples += intermediate;
+    return Relation(head_ids);
   }
-
-  // Node relations: pi_chi(join of lambda atom relations). Independent
-  // per node, so the bag joins fan out over the pool; per-node tuple
-  // counts are collected into slots and summed afterwards so the stats
-  // are deterministic under any schedule.
-  std::vector<Relation> rel(m);
-  std::vector<long> node_tuples(m, 0);
-  RunForAll(m, pool, [&ghd, &bound, &rel, &node_tuples, pool](int p) {
-    std::vector<const Relation*> lambda;
-    for (int e : ghd.Lambda(p)) lambda.push_back(&bound[e]);
-    rel[p] = MaterializeBag(lambda, ghd.td().Bag(p).ToVector(), pool);
-    node_tuples[p] = rel[p].Size();
-  });
-
-  // Full Yannakakis reduction: in-place semijoins, parallel across
-  // independent subtrees (each node only reads already-reduced
-  // neighbors; see csp/tree_schedule.h).
-  RunTreeBottomUp(parent, children, pool, [&children, &rel, pool](int node) {
-    for (int c : children[node]) {
-      EngineSemijoinInPlace(&rel[node], rel[c], pool);
-    }
-  });
-  RunTreeTopDown(parent, children, pool, [&parent, &rel, pool](int node) {
-    if (parent[node] != -1) {
-      EngineSemijoinInPlace(&rel[node], rel[parent[node]], pool);
-    }
-  });
+  const std::vector<Relation>& rel = tree.relations;
 
   // Head variables contained in each subtree.
   Bitset head_bits(h.NumVertices());
   for (int v : head_ids) head_bits.Set(v);
   std::vector<Bitset> sub_head(m, Bitset(h.NumVertices()));
-  for (size_t i = order.size(); i-- > 0;) {
-    int node = order[i];
+  for (size_t i = shape.order().size(); i-- > 0;) {
+    const int node = shape.order()[i];
     sub_head[node] = ghd.td().Bag(node) & head_bits;
-    for (int c : children[node]) sub_head[node] |= sub_head[c];
+    for (int c : shape.children(node)) sub_head[node] |= sub_head[c];
   }
 
   // Bottom-up join with projection onto connector + subtree-head vars
   // (children finish before their parent joins them, so subtrees run
-  // concurrently).
+  // concurrently). Per-node join sizes go to slots and are summed
+  // afterwards, so the stats are deterministic under any schedule.
   std::vector<Relation> answers(m);
   std::vector<long> join_tuples(m, 0);
-  RunTreeBottomUp(parent, children, pool,
-                  [&parent, &children, &rel, &answers, &join_tuples,
-                   &sub_head, &ghd, pool](int node) {
+  RunTreeBottomUp(shape, pool,
+                  [&shape, &rel, &answers, &join_tuples, &sub_head, &ghd,
+                   pool](int node) {
     Relation acc = rel[node];
-    for (int c : children[node]) {
+    for (int c : shape.children(node)) {
       acc = EngineJoin(acc, answers[c], pool);
       join_tuples[node] += acc.Size();
     }
     Bitset keep = sub_head[node];
-    if (parent[node] != -1) {
-      keep |= ghd.td().Bag(node) & ghd.td().Bag(parent[node]);
+    if (shape.parent(node) != -1) {
+      keep |= ghd.td().Bag(node) & ghd.td().Bag(shape.parent(node));
     }
     // Projection: keep only schema vars that are in `keep`.
     std::vector<int> proj;
@@ -239,28 +212,19 @@ std::optional<Relation> AnswerQuery(const ConjunctiveQuery& q,
     answers[node] = acc.Project(proj);
   });
   if (stats != nullptr) {
-    for (int p = 0; p < m; ++p) {
-      stats->intermediate_tuples += node_tuples[p] + join_tuples[p];
-    }
+    for (long t : join_tuples) intermediate += t;
+    stats->intermediate_tuples += intermediate;
   }
 
-  Relation result = answers[order[0]].Project(head_ids);
-  // Boolean query: empty schema — represent "true" as one empty tuple.
-  if (head_ids.empty()) {
-    Relation boolean(std::vector<int>{});
-    bool satisfiable = true;
-    for (int p = 0; p < m; ++p) {
-      if (rel[p].Empty() && ghd.td().Bag(p).Any()) satisfiable = false;
-    }
-    if (satisfiable && !answers[order[0]].Empty()) boolean.AddTuple({});
-    return boolean;
-  }
-  return result;
+  // A Boolean query projects onto the empty schema: one empty tuple
+  // (true) or none (false).
+  return answers[shape.root()].Project(head_ids);
 }
 
 std::optional<Relation> BruteForceAnswer(const ConjunctiveQuery& q,
                                          const Database& db,
                                          std::string* error) {
+  if (!ValidateConjunctiveQuery(q, error)) return std::nullopt;
   std::vector<std::string> vars = q.Variables();
   std::map<std::string, int> var_id;
   for (size_t i = 0; i < vars.size(); ++i) var_id[vars[i]] = static_cast<int>(i);

@@ -1,8 +1,12 @@
 // Conjunctive-query answering through generalized hypertree
 // decompositions: the end-to-end pipeline of the paper. The query's
-// hypergraph is decomposed, node relations are materialized as
-// pi_chi(join of lambda atoms), Yannakakis reduces the tree, and answers
-// are assembled bottom-up with projections onto connector + head
+// hypergraph is decomposed, and the rest is the relation-tree pipeline
+// CSP solving uses (csp/yannakakis.h): the shared GHD builder
+// materializes pi_chi(join of lambda atoms) per node and roots the tree
+// once (children in ascending node id, a parent-first order), and
+// FullyReduce runs both semijoin passes, stopping after the bottom-up
+// one with an empty answer when the root comes out empty. Answers are
+// then assembled bottom-up with projections onto connector + head
 // variables — output-polynomial for bounded-width queries.
 
 #ifndef HYPERTREE_CQ_ANSWER_H_
@@ -28,7 +32,8 @@ struct AnswerStats {
 /// Evaluates `q` over `db` via a GHD of the query hypergraph. The answer
 /// relation's schema lists the head variables by their ids in
 /// q.Variables() order; a Boolean query yields an empty-schema relation
-/// with one tuple (true) or none (false). Fails (nullopt + error) on
+/// with one tuple (true) or none (false). Fails (nullopt + error) on a
+/// query that fails ValidateConjunctiveQuery, repeated head variables,
 /// missing tables or arity mismatches. With a pool, the per-node bag
 /// joins and the Yannakakis passes run in parallel across independent
 /// subtrees; the answer relation (schema, tuples and tuple order) is
@@ -40,7 +45,9 @@ std::optional<Relation> AnswerQuery(const ConjunctiveQuery& q,
                                     ThreadPool* pool = nullptr);
 
 /// Reference evaluation: join all atoms directly, project the head
-/// (exponential; for tests and tiny queries).
+/// (exponential; for tests and tiny queries). Fails (nullopt + error) on
+/// a query that fails ValidateConjunctiveQuery, missing tables or arity
+/// mismatches.
 std::optional<Relation> BruteForceAnswer(const ConjunctiveQuery& q,
                                          const Database& db,
                                          std::string* error = nullptr);

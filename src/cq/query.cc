@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <map>
+#include <set>
 
 #include "util/check.h"
 #include "util/stringutil.h"
@@ -14,6 +15,11 @@ void SetError(std::string* error, const std::string& msg) {
   if (error != nullptr) *error = msg;
 }
 
+void SkipSpace(const std::string& s, size_t* i) {
+  while (*i < s.size() && std::isspace(static_cast<unsigned char>(s[*i])))
+    ++*i;
+}
+
 bool IsIdentChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
@@ -21,8 +27,7 @@ bool IsIdentChar(char c) {
 // Parses "name(v1, v2, ...)" starting at *i; advances *i past it.
 bool ParseAtom(const std::string& s, size_t* i, Atom* atom,
                std::string* error) {
-  while (*i < s.size() && std::isspace(static_cast<unsigned char>(s[*i])))
-    ++*i;
+  SkipSpace(s, i);
   size_t start = *i;
   while (*i < s.size() && IsIdentChar(s[*i])) ++*i;
   atom->relation = s.substr(start, *i - start);
@@ -30,8 +35,7 @@ bool ParseAtom(const std::string& s, size_t* i, Atom* atom,
     SetError(error, "expected predicate name at offset " + std::to_string(*i));
     return false;
   }
-  while (*i < s.size() && std::isspace(static_cast<unsigned char>(s[*i])))
-    ++*i;
+  SkipSpace(s, i);
   if (*i >= s.size() || s[*i] != '(') {
     SetError(error, "expected '(' after " + atom->relation);
     return false;
@@ -90,6 +94,28 @@ Hypergraph ConjunctiveQuery::QueryHypergraph() const {
   return h;
 }
 
+bool ValidateConjunctiveQuery(const ConjunctiveQuery& q, std::string* error) {
+  if (q.atoms.empty()) {
+    SetError(error, "query has no body atoms");
+    return false;
+  }
+  std::set<std::string> body_vars;
+  for (const Atom& atom : q.atoms) {
+    if (atom.vars.empty()) {
+      SetError(error, "body atom " + atom.relation + " has no variables");
+      return false;
+    }
+    body_vars.insert(atom.vars.begin(), atom.vars.end());
+  }
+  for (const std::string& v : q.head) {
+    if (body_vars.count(v) == 0) {
+      SetError(error, "head variable " + v + " not bound in the body");
+      return false;
+    }
+  }
+  return true;
+}
+
 std::optional<ConjunctiveQuery> ParseConjunctiveQuery(const std::string& text,
                                                       std::string* error) {
   ConjunctiveQuery q;
@@ -97,8 +123,7 @@ std::optional<ConjunctiveQuery> ParseConjunctiveQuery(const std::string& text,
   Atom head;
   if (!ParseAtom(text, &i, &head, error)) return std::nullopt;
   q.head = head.vars;
-  while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i])))
-    ++i;
+  SkipSpace(text, &i);
   if (i + 1 >= text.size() || text[i] != ':' || text[i + 1] != '-') {
     SetError(error, "expected ':-' after the head");
     return std::nullopt;
@@ -107,12 +132,6 @@ std::optional<ConjunctiveQuery> ParseConjunctiveQuery(const std::string& text,
   while (true) {
     Atom atom;
     if (!ParseAtom(text, &i, &atom, error)) return std::nullopt;
-    // A body atom is a hyperedge of the query hypergraph, which must not
-    // be empty (a Boolean head, `ans()`, is fine).
-    if (atom.vars.empty()) {
-      SetError(error, "body atom " + atom.relation + " has no variables");
-      return std::nullopt;
-    }
     q.atoms.push_back(std::move(atom));
     while (i < text.size() &&
            (std::isspace(static_cast<unsigned char>(text[i])) ||
@@ -120,23 +139,13 @@ std::optional<ConjunctiveQuery> ParseConjunctiveQuery(const std::string& text,
       ++i;
     if (i >= text.size() || text[i] == '.') break;
   }
-  if (q.atoms.empty()) {
-    SetError(error, "query has no body atoms");
+  if (i < text.size()) ++i;  // the closing '.'
+  SkipSpace(text, &i);
+  if (i < text.size()) {
+    SetError(error, "unexpected text after '.' at offset " + std::to_string(i));
     return std::nullopt;
   }
-  // Safety: every head variable must occur in the body.
-  for (const std::string& v : q.head) {
-    bool found = false;
-    for (const Atom& a : q.atoms) {
-      for (const std::string& u : a.vars) {
-        if (u == v) found = true;
-      }
-    }
-    if (!found) {
-      SetError(error, "head variable " + v + " not bound in the body");
-      return std::nullopt;
-    }
-  }
+  if (!ValidateConjunctiveQuery(q, error)) return std::nullopt;
   return q;
 }
 

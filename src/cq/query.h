@@ -32,14 +32,24 @@ struct ConjunctiveQuery {
   /// (head first, then body).
   std::vector<std::string> Variables() const;
 
-  /// The query hypergraph; `var_ids` (optional) receives the name->id
-  /// mapping implied by Variables().
+  /// The query hypergraph: vertex i is Variables()[i] (named after it),
+  /// edge a is the scope of atoms[a] (named "<relation>#<a>").
   Hypergraph QueryHypergraph() const;
 };
 
+/// The rules every query must meet before it is decomposed or answered:
+/// a non-empty body, no body atom without variables (each atom is a
+/// hyperedge of the query hypergraph, which must not be empty), and a
+/// safe head (every head variable occurs in the body). An empty head is
+/// a Boolean query and is legal. Returns false and sets *error on the
+/// first violation. ParseConjunctiveQuery, AnswerQuery and
+/// BruteForceAnswer all apply it.
+bool ValidateConjunctiveQuery(const ConjunctiveQuery& q,
+                              std::string* error = nullptr);
+
 /// Parses "head(X, Y) :- atom1(X, Z), atom2(Z, Y)." (trailing period
-/// optional; any head predicate name is accepted). The head may be empty
-/// (a Boolean query); a body atom with no variables is an error.
+/// optional, only whitespace after it; any head predicate name is
+/// accepted) and applies ValidateConjunctiveQuery.
 std::optional<ConjunctiveQuery> ParseConjunctiveQuery(
     const std::string& text, std::string* error = nullptr);
 

@@ -70,22 +70,19 @@ class KeyWeightTable {
 }  // namespace
 
 long long CountRelationTree(const RelationTree& tree, ThreadPool* pool) {
-  int m = static_cast<int>(tree.relations.size());
+  const TreeShape& shape = tree.shape;
+  const int m = static_cast<int>(tree.relations.size());
+  HT_CHECK_EQ(shape.NumNodes(), m);
   if (m == 0) return 1;  // the empty join has exactly one (empty) answer
-  std::vector<std::vector<int>> children(m);
-  for (int p = 0; p < m; ++p) {
-    if (tree.parent[p] != -1) children[tree.parent[p]].push_back(p);
-  }
 
   // weight[p][t] = number of consistent completions of tuple t within the
   // subtree of p. Children are aggregated before their parent runs, so
   // independent subtrees can be processed in parallel.
   std::vector<std::vector<long long>> weight(m);
-  RunTreeBottomUp(tree.parent, children, pool,
-                  [&tree, &children, &weight, pool](int p) {
+  RunTreeBottomUp(shape, pool, [&tree, &shape, &weight, pool](int p) {
     const Relation& rel = tree.relations[p];
     weight[p].assign(rel.Size(), 1);
-    for (int c : children[p]) {
+    for (int c : shape.children(p)) {
       const Relation& crel = tree.relations[c];
       // Aggregate child weights by the shared-variable key.
       std::vector<int> pp, pc;
@@ -110,7 +107,7 @@ long long CountRelationTree(const RelationTree& tree, ThreadPool* pool) {
     }
   });
   long long total = 0;
-  for (long long w : weight[tree.root]) total += w;
+  for (long long w : weight[shape.root()]) total += w;
   return total;
 }
 
@@ -127,23 +124,7 @@ long long CountViaGhd(const Csp& csp,
 }
 
 long long CountAcyclicCsp(const Csp& csp, ThreadPool* pool) {
-  Hypergraph h = csp.ConstraintHypergraph();
-  std::optional<JoinTree> jt = BuildJoinTree(h);
-  HT_CHECK_MSG(jt.has_value(), "constraint hypergraph is not alpha-acyclic");
-  RelationTree tree;
-  tree.parent = jt->parent;
-  tree.root = jt->root;
-  tree.relations.resize(h.NumEdges());
-  for (int c = 0; c < csp.NumConstraints(); ++c) {
-    tree.relations[c] = csp.GetConstraint(c).relation;
-  }
-  for (int e = csp.NumConstraints(); e < h.NumEdges(); ++e) {
-    std::vector<int> vars = h.EdgeVertices(e);
-    Relation r(vars);
-    for (int val = 0; val < csp.DomainSize(vars[0]); ++val) r.AddTuple({val});
-    tree.relations[e] = std::move(r);
-  }
-  return CountRelationTree(tree, pool);
+  return CountRelationTree(BuildRelationTreeFromJoinTree(csp), pool);
 }
 
 }  // namespace hypertree

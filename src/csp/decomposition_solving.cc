@@ -5,7 +5,7 @@
 
 #include "csp/morsel_engine.h"
 #include "csp/tree_schedule.h"
-#include "csp/yannakakis.h"
+#include "hypergraph/acyclicity.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
@@ -109,108 +109,13 @@ Relation SolveBag(const Csp& csp, const std::vector<int>& vars) {
   return out;
 }
 
-// Converts a decomposition tree (undirected edges) into parent pointers.
-void RootTree(int num_nodes, const std::vector<std::pair<int, int>>& edges,
-              std::vector<int>* parent, int* root) {
-  std::vector<std::vector<int>> adj(num_nodes);
-  for (auto [a, b] : edges) {
-    adj[a].push_back(b);
-    adj[b].push_back(a);
-  }
-  parent->assign(num_nodes, -1);
-  *root = 0;
-  std::vector<bool> seen(num_nodes, false);
-  std::vector<int> stack = {0};
-  seen[0] = true;
-  while (!stack.empty()) {
-    int p = stack.back();
-    stack.pop_back();
-    for (int q : adj[p]) {
-      if (!seen[q]) {
-        seen[q] = true;
-        (*parent)[q] = p;
-        stack.push_back(q);
-      }
-    }
-  }
-}
-
-std::optional<std::vector<int>> FinishSolve(const Csp& csp, RelationTree tree,
-                                            DecompositionSolveStats* stats,
-                                            ThreadPool* pool) {
-  if (stats != nullptr) {
-    for (const Relation& r : tree.relations) {
-      stats->bag_tuples += r.Size();
-      stats->max_bag_tuples = std::max(stats->max_bag_tuples, r.Size());
-    }
-  }
-  auto assignment = AcyclicSolve(std::move(tree), pool);
-  if (!assignment.has_value()) return std::nullopt;
-  std::vector<int> out(csp.NumVariables(), 0);
-  for (auto [var, val] : *assignment) out[var] = val;
-  HT_CHECK_MSG(csp.IsSolution(out),
-               "decomposition solve produced a non-solution");
-  return out;
-}
-
-}  // namespace
-
-RelationTree BuildRelationTreeFromTd(const Csp& csp,
-                                     const TreeDecomposition& td,
-                                     ThreadPool* pool) {
-  HT_CHECK(td.NumGraphVertices() == csp.NumVariables());
-  RelationTree tree;
-  tree.relations.resize(td.NumNodes());
-  // The bags are independent subproblems: solve them in parallel. Each
-  // task writes only its own slot, so results are schedule-independent.
-  RunForAll(td.NumNodes(), pool, [&tree, &csp, &td](int p) {
-    tree.relations[p] = SolveBag(csp, td.Bag(p).ToVector());
-  });
-  RootTree(td.NumNodes(), td.TreeEdges(), &tree.parent, &tree.root);
-  return tree;
-}
-
-RelationTree BuildRelationTreeFromGhd(
-    const Csp& csp, const GeneralizedHypertreeDecomposition& ghd,
-    ThreadPool* pool) {
-  HT_CHECK(ghd.td().NumGraphVertices() == csp.NumVariables());
-  // Work on a completed copy so every constraint participates in some
-  // node's join (Lemma 2 keeps the width unchanged).
-  Hypergraph h = csp.ConstraintHypergraph();
-  GeneralizedHypertreeDecomposition complete = ghd;
-  complete.MakeComplete(h);
-
-  // Relations per hyperedge of the constraint hypergraph: the constraints
-  // first (used in place), then domain enumerations for constraint-free
-  // variables (built once here).
-  std::vector<Relation> domains;
-  for (int e = csp.NumConstraints(); e < h.NumEdges(); ++e) {
-    std::vector<int> vars = h.EdgeVertices(e);
-    Relation r(vars);
-    for (int val = 0; val < csp.DomainSize(vars[0]); ++val) r.AddTuple({val});
-    domains.push_back(std::move(r));
-  }
-  auto edge_relation = [&csp, &domains](int e) {
-    return e < csp.NumConstraints()
-               ? &csp.GetConstraint(e).relation
-               : &domains[static_cast<size_t>(e - csp.NumConstraints())];
-  };
-
-  RelationTree tree;
-  int m = complete.NumNodes();
-  tree.relations.resize(m);
-  // Per-node bag joins are independent; fan them out over the pool. The
-  // bags only read the edge relations, so they share them.
-  RunForAll(m, pool, [&complete, &edge_relation, &tree, pool](int p) {
-    std::vector<const Relation*> lambda;
-    for (int e : complete.Lambda(p)) lambda.push_back(edge_relation(e));
-    tree.relations[p] =
-        MaterializeBag(lambda, complete.td().Bag(p).ToVector(), pool);
-  });
-  RootTree(m, complete.td().TreeEdges(), &tree.parent, &tree.root);
-  return tree;
-}
-
+// One GHD node's relation pi_chi(join of `lambda`). The chain joins the
+// relations in lambda order and, before each join, projects away the
+// columns that neither `chi` nor a relation still to come holds; the bag
+// (schema `chi`, rows and row order) equals that of projecting the full
+// join. An empty `lambda` is legal only for an empty `chi` and yields the
+// identity relation (one empty tuple). Intermediates follow the memory
+// budget of the morsel engine (docs/SOLVING.md); the bag is resident.
 Relation MaterializeBag(const std::vector<const Relation*>& lambda,
                         const std::vector<int>& chi, ThreadPool* pool) {
   HT_CHECK_MSG(!lambda.empty() || chi.empty(),
@@ -262,6 +167,110 @@ Relation MaterializeBag(const std::vector<const Relation*>& lambda,
     }
   }
   return EngineProjectChunked(acc, chi, pool);
+}
+
+// The relations of the constraint hypergraph's edges: the constraints'
+// relations first (used in place), then one domain relation per
+// constraint-free variable, built into *domains.
+std::vector<const Relation*> EdgeRelations(const Csp& csp, const Hypergraph& h,
+                                           std::vector<Relation>* domains) {
+  for (int e = csp.NumConstraints(); e < h.NumEdges(); ++e) {
+    std::vector<int> vars = h.EdgeVertices(e);
+    HT_CHECK(vars.size() == 1);
+    Relation r(vars);
+    for (int val = 0; val < csp.DomainSize(vars[0]); ++val) r.AddTuple({val});
+    domains->push_back(std::move(r));
+  }
+  std::vector<const Relation*> out;
+  for (int c = 0; c < csp.NumConstraints(); ++c) {
+    out.push_back(&csp.GetConstraint(c).relation);
+  }
+  for (const Relation& r : *domains) out.push_back(&r);
+  return out;
+}
+
+std::optional<std::vector<int>> FinishSolve(const Csp& csp, RelationTree tree,
+                                            DecompositionSolveStats* stats,
+                                            ThreadPool* pool) {
+  if (stats != nullptr) {
+    for (const Relation& r : tree.relations) {
+      stats->bag_tuples += r.Size();
+      stats->max_bag_tuples = std::max(stats->max_bag_tuples, r.Size());
+    }
+  }
+  auto assignment = AcyclicSolve(std::move(tree), pool);
+  if (!assignment.has_value()) return std::nullopt;
+  std::vector<int> out(csp.NumVariables(), 0);
+  for (auto [var, val] : *assignment) out[var] = val;
+  HT_CHECK_MSG(csp.IsSolution(out),
+               "decomposition solve produced a non-solution");
+  return out;
+}
+
+}  // namespace
+
+RelationTree BuildRelationTreeFromTd(const Csp& csp,
+                                     const TreeDecomposition& td,
+                                     ThreadPool* pool) {
+  HT_CHECK(td.NumGraphVertices() == csp.NumVariables());
+  RelationTree tree;
+  tree.relations.resize(td.NumNodes());
+  // The bags are independent subproblems: solve them in parallel. Each
+  // task writes only its own slot, so results are schedule-independent.
+  RunForAll(td.NumNodes(), pool, [&tree, &csp, &td](int p) {
+    tree.relations[p] = SolveBag(csp, td.Bag(p).ToVector());
+  });
+  tree.shape = TreeShape(td.NumNodes(), td.TreeEdges(), /*root=*/0);
+  return tree;
+}
+
+RelationTree BuildRelationTreeFromGhd(
+    const Csp& csp, const GeneralizedHypertreeDecomposition& ghd,
+    ThreadPool* pool) {
+  HT_CHECK(ghd.td().NumGraphVertices() == csp.NumVariables());
+  // Work on a completed copy so every constraint participates in some
+  // node's join (Lemma 2 keeps the width unchanged).
+  Hypergraph h = csp.ConstraintHypergraph();
+  GeneralizedHypertreeDecomposition complete = ghd;
+  complete.MakeComplete(h);
+  std::vector<Relation> domains;
+  return BuildRelationTreeFromGhd(complete, EdgeRelations(csp, h, &domains),
+                                  pool);
+}
+
+RelationTree BuildRelationTreeFromGhd(
+    const GeneralizedHypertreeDecomposition& complete,
+    const std::vector<const Relation*>& edge_relations, ThreadPool* pool) {
+  RelationTree tree;
+  const int m = complete.NumNodes();
+  tree.relations.resize(m);
+  // Per-node bag joins are independent; fan them out over the pool. The
+  // bags only read the edge relations, so they share them.
+  RunForAll(m, pool, [&complete, &edge_relations, &tree, pool](int p) {
+    std::vector<const Relation*> lambda;
+    for (int e : complete.Lambda(p)) lambda.push_back(edge_relations[e]);
+    tree.relations[p] =
+        MaterializeBag(lambda, complete.td().Bag(p).ToVector(), pool);
+  });
+  tree.shape = TreeShape(m, complete.td().TreeEdges(), /*root=*/0);
+  return tree;
+}
+
+RelationTree BuildRelationTreeFromJoinTree(const Csp& csp) {
+  Hypergraph h = csp.ConstraintHypergraph();
+  std::optional<JoinTree> jt = BuildJoinTree(h);
+  HT_CHECK_MSG(jt.has_value(), "constraint hypergraph is not alpha-acyclic");
+  std::vector<Relation> domains;
+  RelationTree tree;
+  for (const Relation* r : EdgeRelations(csp, h, &domains)) {
+    tree.relations.push_back(*r);
+  }
+  std::vector<std::pair<int, int>> edges;
+  for (int e = 0; e < h.NumEdges(); ++e) {
+    if (jt->parent[e] != -1) edges.emplace_back(e, jt->parent[e]);
+  }
+  tree.shape = TreeShape(h.NumEdges(), edges, jt->root);
+  return tree;
 }
 
 std::optional<std::vector<int>> SolveViaTreeDecomposition(

@@ -4,6 +4,13 @@
 // join tree. Runtime O(n d^{w+1}) for a width-w tree decomposition and
 // |I|^{k+1} log |I| for a width-k GHD.
 //
+// The builders here are the first stage of the one relation-tree
+// pipeline (see csp/yannakakis.h): each materializes the node relations
+// and roots the tree once into a TreeShape (children in ascending node
+// id, a parent-first order). Solving then runs FullyReduce and the
+// extraction, counting runs CountRelationTree, and CQ answering
+// (cq/answer.h) builds its tree with the same GHD builder.
+//
 // All entry points take an optional ThreadPool: the per-node bag joins are
 // independent and run in parallel, and the Yannakakis passes parallelize
 // across subtrees (deterministic results for any thread count).
@@ -46,29 +53,35 @@ std::optional<std::vector<int>> SolveViaGhd(
     DecompositionSolveStats* stats = nullptr, ThreadPool* pool = nullptr);
 
 /// Materializes the per-bag subproblem relations of `td` as a relation
-/// tree (the join tree of the solution-equivalent acyclic CSP). Shared by
-/// the solving and counting front ends. With a pool the bags are solved
-/// in parallel.
+/// tree (the join tree of the solution-equivalent acyclic CSP), rooted at
+/// node 0. Shared by the solving and counting front ends. With a pool the
+/// bags are solved in parallel.
 RelationTree BuildRelationTreeFromTd(const Csp& csp,
                                      const TreeDecomposition& td,
                                      ThreadPool* pool = nullptr);
 
-/// Materializes the per-node relations of a (completed copy of) `ghd`,
-/// in parallel when a pool is given.
+/// Materializes the per-node relations of a completed copy of `ghd` over
+/// the CSP's edge relations (the constraints, then a domain relation per
+/// constraint-free variable), in parallel when a pool is given.
 RelationTree BuildRelationTreeFromGhd(
     const Csp& csp, const GeneralizedHypertreeDecomposition& ghd,
     ThreadPool* pool = nullptr);
 
-/// One GHD node's relation pi_chi(join of `lambda`), the bag materializer
-/// shared by GHD solving and CQ answering. The chain joins the relations
-/// in lambda order and, before each join, projects away the columns that
-/// neither `chi` nor a relation still to come holds; the bag (schema
-/// `chi`, rows and row order) equals that of projecting the full join.
-/// An empty `lambda` is legal only for an empty `chi` and yields the
-/// identity relation (one empty tuple). Intermediates follow the memory
-/// budget of the morsel engine (docs/SOLVING.md); the bag is resident.
-Relation MaterializeBag(const std::vector<const Relation*>& lambda,
-                        const std::vector<int>& chi, ThreadPool* pool);
+/// The GHD builder shared by CSP solving and CQ answering: node p of the
+/// complete GHD `complete` gets pi_chi(p)(join of edge_relations[e] for e
+/// in lambda(p)), the tree is rooted at node 0, and the bags are built in
+/// parallel with a pool. Each bag (schema chi(p), rows and row order)
+/// equals the projection of the full lambda join; intermediates follow
+/// the morsel engine's memory budget (docs/SOLVING.md).
+RelationTree BuildRelationTreeFromGhd(
+    const GeneralizedHypertreeDecomposition& complete,
+    const std::vector<const Relation*>& edge_relations, ThreadPool* pool);
+
+/// The join tree (GYO) of an alpha-acyclic CSP, one node per edge of its
+/// constraint hypergraph: each constraint's relation, then a domain
+/// relation per constraint-free variable. Shared by SolveAcyclicCsp and
+/// CountAcyclicCsp.
+RelationTree BuildRelationTreeFromJoinTree(const Csp& csp);
 
 }  // namespace hypertree
 

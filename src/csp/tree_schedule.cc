@@ -11,76 +11,52 @@
 
 namespace hypertree {
 
-namespace {
-
-// BFS order from the roots (nodes with parent == -1): parents before
-// children. Shared by both sequential fallbacks.
-std::vector<int> TopDownOrder(const std::vector<int>& parent,
-                              const std::vector<std::vector<int>>& children) {
-  std::vector<int> order;
-  order.reserve(parent.size());
-  for (size_t i = 0; i < parent.size(); ++i) {
-    if (parent[i] == -1) order.push_back(static_cast<int>(i));
+TreeShape::TreeShape(int num_nodes,
+                     const std::vector<std::pair<int, int>>& edges,
+                     int root) {
+  if (num_nodes == 0) return;
+  HT_CHECK(root >= 0 && root < num_nodes) << "tree shape: root " << root
+                                          << " out of range";
+  // n - 1 edges reaching all n nodes from the root form a single tree.
+  HT_CHECK_EQ(edges.size(), static_cast<size_t>(num_nodes - 1))
+      << "tree shape: not a single tree";
+  std::vector<std::vector<int>> adj(num_nodes);
+  for (auto [a, b] : edges) {
+    HT_CHECK(a >= 0 && a < num_nodes && b >= 0 && b < num_nodes)
+        << "tree shape: edge (" << a << ", " << b << ") out of range";
+    adj[a].push_back(b);
+    adj[b].push_back(a);
   }
-  for (size_t i = 0; i < order.size(); ++i) {
-    for (int c : children[order[i]]) order.push_back(c);
-  }
-  HT_CHECK_MSG(order.size() == parent.size(),
-               "tree_schedule: parent/children describe no rooted forest");
-  return order;
-}
-
-bool Sequential(const std::vector<int>& parent, ThreadPool* pool) {
-  return pool == nullptr || pool->NumThreads() <= 1 || parent.size() <= 1;
-}
-
-// Debug-only precondition: parent/children must describe the same rooted
-// forest — parents in range, no self-loops, every parent/child edge
-// mirrored, child counts adding up. The traversals' own countdown logic
-// (and the post-condition visited == m) relies on all of this; a
-// malformed forest would otherwise hang the pool or skip nodes.
-void DCheckForest(const std::vector<int>& parent,
-                  const std::vector<std::vector<int>>& children) {
-  if (!ht_internal::kDCheckEnabled) return;
-  const int m = static_cast<int>(parent.size());
-  HT_DCHECK_EQ(children.size(), parent.size())
-      << "tree_schedule: parent/children size mismatch";
-  size_t edges = 0;
-  for (int i = 0; i < m; ++i) {
-    const int p = parent[i];
-    HT_DCHECK_GE(p, -1) << "tree_schedule: parent id out of range";
-    HT_DCHECK_LT(p, m) << "tree_schedule: parent id out of range";
-    HT_DCHECK_NE(p, i) << "tree_schedule: node is its own parent";
-    for (int c : children[i]) {
-      HT_DCHECK_GE(c, 0) << "tree_schedule: child id out of range";
-      HT_DCHECK_LT(c, m) << "tree_schedule: child id out of range";
-      HT_DCHECK_EQ(parent[c], i)
-          << "tree_schedule: child's parent back-pointer disagrees";
+  root_ = root;
+  parent_.assign(num_nodes, -1);
+  children_.resize(num_nodes);
+  order_.reserve(num_nodes);
+  std::vector<char> seen(num_nodes, 0);
+  seen[root] = 1;
+  order_.push_back(root);
+  // BFS over sorted neighbor lists: a node's unseen neighbors when it is
+  // dequeued are its children, so they come out in ascending id.
+  for (size_t i = 0; i < order_.size(); ++i) {
+    const int p = order_[i];
+    std::sort(adj[p].begin(), adj[p].end());
+    for (int q : adj[p]) {
+      if (seen[q]) continue;
+      seen[q] = 1;
+      parent_[q] = p;
+      children_[p].push_back(q);
+      order_.push_back(q);
     }
-    edges += children[i].size();
-    if (p >= 0) ++edges;  // counted from both endpoints below
   }
-  // Every non-root contributes its parent edge exactly once from each
-  // side, so the totals must agree (roots contribute nothing).
-  size_t non_roots = 0;
-  for (int i = 0; i < m; ++i) {
-    if (parent[i] >= 0) ++non_roots;
-  }
-  HT_DCHECK_EQ(edges, non_roots * 2)
-      << "tree_schedule: children lists disagree with parent pointers";
+  HT_CHECK_EQ(order_.size(), static_cast<size_t>(num_nodes))
+      << "tree shape: not a single tree";
 }
 
-}  // namespace
-
-void RunTreeBottomUp(const std::vector<int>& parent,
-                     const std::vector<std::vector<int>>& children,
-                     ThreadPool* pool,
+void RunTreeBottomUp(const TreeShape& tree, ThreadPool* pool,
                      const std::function<void(int)>& visit) {
-  int m = static_cast<int>(parent.size());
+  const int m = tree.NumNodes();
   if (m == 0) return;
-  DCheckForest(parent, children);
-  if (Sequential(parent, pool)) {
-    std::vector<int> order = TopDownOrder(parent, children);
+  if (pool == nullptr || pool->NumThreads() <= 1 || m == 1) {
+    const std::vector<int>& order = tree.order();
     for (size_t i = order.size(); i-- > 0;) visit(order[i]);
     return;
   }
@@ -89,52 +65,48 @@ void RunTreeBottomUp(const std::vector<int>& parent,
   // the pool's Wait() (which tracks nested submissions) covers the run.
   std::vector<std::atomic<int>> pending(m);
   for (int i = 0; i < m; ++i) {
-    pending[i].store(static_cast<int>(children[i].size()),
+    pending[i].store(static_cast<int>(tree.children(i).size()),
                      std::memory_order_relaxed);
   }
   std::atomic<int> visited{0};
   std::function<void(int)> run = [&](int node) {
     visit(node);
     visited.fetch_add(1, std::memory_order_relaxed);
-    int p = parent[node];
+    int p = tree.parent(node);
     if (p >= 0 &&
         pending[p].fetch_sub(1, std::memory_order_acq_rel) == 1) {
       pool->Submit([&run, p] { run(p); });
     }
   };
   for (int i = 0; i < m; ++i) {
-    if (children[i].empty()) pool->Submit([&run, i] { run(i); });
+    if (tree.children(i).empty()) pool->Submit([&run, i] { run(i); });
   }
   pool->Wait();
   // Relaxed: Wait() orders every worker's fetch_add before this load.
   HT_CHECK_MSG(visited.load(std::memory_order_relaxed) == m,
-               "tree_schedule: parent/children describe no rooted forest");
+               "tree_schedule: bottom-up pass skipped a node");
 }
 
-void RunTreeTopDown(const std::vector<int>& parent,
-                    const std::vector<std::vector<int>>& children,
-                    ThreadPool* pool,
+void RunTreeTopDown(const TreeShape& tree, ThreadPool* pool,
                     const std::function<void(int)>& visit) {
-  int m = static_cast<int>(parent.size());
+  const int m = tree.NumNodes();
   if (m == 0) return;
-  DCheckForest(parent, children);
-  if (Sequential(parent, pool)) {
-    for (int node : TopDownOrder(parent, children)) visit(node);
+  if (pool == nullptr || pool->NumThreads() <= 1 || m == 1) {
+    for (int node : tree.order()) visit(node);
     return;
   }
   std::atomic<int> visited{0};
   std::function<void(int)> run = [&](int node) {
     visit(node);
     visited.fetch_add(1, std::memory_order_relaxed);
-    for (int c : children[node]) pool->Submit([&run, c] { run(c); });
+    for (int c : tree.children(node)) pool->Submit([&run, c] { run(c); });
   };
-  for (int i = 0; i < m; ++i) {
-    if (parent[i] == -1) pool->Submit([&run, i] { run(i); });
-  }
+  const int root = tree.root();
+  pool->Submit([&run, root] { run(root); });
   pool->Wait();
   // Relaxed: Wait() orders every worker's fetch_add before this load.
   HT_CHECK_MSG(visited.load(std::memory_order_relaxed) == m,
-               "tree_schedule: parent/children describe no rooted forest");
+               "tree_schedule: top-down pass skipped a node");
 }
 
 void RunForAll(int count, ThreadPool* pool,

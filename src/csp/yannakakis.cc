@@ -1,70 +1,48 @@
 #include "csp/yannakakis.h"
 
 #include <algorithm>
-#include <atomic>
 
+#include "csp/decomposition_solving.h"
 #include "csp/morsel_engine.h"
 #include "csp/tree_schedule.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace hypertree {
 
-std::optional<std::unordered_map<int, int>> AcyclicSolve(RelationTree tree,
-                                                         ThreadPool* pool) {
-  int m = static_cast<int>(tree.relations.size());
-  if (m == 0) return std::unordered_map<int, int>{};
-  HT_CHECK(static_cast<int>(tree.parent.size()) == m);
-  // Topological order: parents before children (BFS from the root(s)).
-  std::vector<std::vector<int>> children(m);
-  for (int p = 0; p < m; ++p) {
-    if (tree.parent[p] != -1) children[tree.parent[p]].push_back(p);
-  }
-  std::vector<int> order;
-  order.push_back(tree.root);
-  for (size_t i = 0; i < order.size(); ++i) {
-    for (int c : children[order[i]]) order.push_back(c);
-  }
-  HT_CHECK_MSG(static_cast<int>(order.size()) == m,
-               "relation tree is not a single tree");
-
-  // Bottom-up semijoin pass: each node filters itself against its fully
-  // reduced children (in-place, child-index order). Every visit runs to
-  // completion even after a wipeout elsewhere: the filters are
+bool FullyReduce(RelationTree* tree, ThreadPool* pool) {
+  const TreeShape& shape = tree->shape;
+  std::vector<Relation>& rel = tree->relations;
+  HT_CHECK_EQ(shape.NumNodes(), static_cast<int>(rel.size()));
+  if (rel.empty()) return true;
+  // Bottom-up: each node filters itself against its fully reduced
+  // children (in place, ascending child id). Every visit runs to
+  // completion even when some node empties: the filters are
   // deterministic, so the relation contents and the kernel's metrics
   // counters stay bit-identical for any thread count, SAT or UNSAT.
-  std::atomic<bool> wiped{false};
   // Within-bag morsel parallelism composes with the across-bag tree
   // schedule: EngineSemijoinInPlace cuts the probe side into morsels and
   // ParallelFor lets idle pool threads steal them, so one huge bag no
   // longer serializes the whole pass. Counter totals and survivors are
   // schedule-independent (see morsel.h), keeping the pass deterministic.
-  RunTreeBottomUp(tree.parent, children, pool,
-                  [&tree, &children, &wiped, pool](int node) {
-    for (int c : children[node]) {
-      EngineSemijoinInPlace(&tree.relations[node], tree.relations[c], pool);
-    }
-    if (tree.relations[node].Empty()) {
-      wiped.store(true, std::memory_order_relaxed);
+  RunTreeBottomUp(shape, pool, [&shape, &rel, pool](int node) {
+    for (int c : shape.children(node)) {
+      EngineSemijoinInPlace(&rel[node], rel[c], pool);
     }
   });
-  // Relaxed is sufficient on both ends: the traversal's Wait() already
-  // orders every store before this load.
-  if (wiped.load(std::memory_order_relaxed) ||
-      tree.relations[tree.root].Empty()) {
-    return std::nullopt;
-  }
-  // Top-down semijoin pass (full reduction): each node filters itself
-  // against its already reduced parent.
-  RunTreeTopDown(tree.parent, children, pool, [&tree, &wiped, pool](int node) {
-    if (tree.parent[node] == -1) return;
-    EngineSemijoinInPlace(&tree.relations[node],
-                          tree.relations[tree.parent[node]], pool);
-    if (tree.relations[node].Empty()) {
-      wiped.store(true, std::memory_order_relaxed);
+  if (rel[shape.root()].Empty()) return false;
+  // Top-down: each node filters itself against its already reduced
+  // parent.
+  RunTreeTopDown(shape, pool, [&shape, &rel, pool](int node) {
+    if (shape.parent(node) != -1) {
+      EngineSemijoinInPlace(&rel[node], rel[shape.parent(node)], pool);
     }
   });
-  if (wiped.load(std::memory_order_relaxed)) return std::nullopt;
+  return true;
+}
+
+std::optional<std::unordered_map<int, int>> AcyclicSolve(RelationTree tree,
+                                                         ThreadPool* pool) {
+  if (!FullyReduce(&tree, pool)) return std::nullopt;
   // Extraction: pick any root tuple, then for each child a tuple agreeing
   // with the values fixed so far (guaranteed to exist after reduction).
   // Fixed values live in a dense array over variable ids: the scan below
@@ -77,7 +55,7 @@ std::optional<std::unordered_map<int, int>> AcyclicSolve(RelationTree tree,
   std::vector<int> fixed_val(max_var + 1, 0);
   std::vector<char> is_fixed(max_var + 1, 0);
   std::unordered_map<int, int> assignment;
-  for (int node : order) {
+  for (int node : tree.shape.order()) {
     const Relation& rel = tree.relations[node];
     const std::vector<int>& schema = rel.schema();
     const int arity = rel.Arity();
@@ -105,27 +83,7 @@ std::optional<std::unordered_map<int, int>> AcyclicSolve(RelationTree tree,
 
 std::optional<std::vector<int>> SolveAcyclicCsp(const Csp& csp,
                                                 ThreadPool* pool) {
-  Hypergraph h = csp.ConstraintHypergraph();
-  std::optional<JoinTree> jt = BuildJoinTree(h);
-  HT_CHECK_MSG(jt.has_value(), "constraint hypergraph is not alpha-acyclic");
-  // Edges of the hypergraph are the constraints first, then the unary
-  // "free variable" edges.
-  RelationTree tree;
-  tree.parent = jt->parent;
-  tree.root = jt->root;
-  tree.relations.resize(h.NumEdges());
-  for (int c = 0; c < csp.NumConstraints(); ++c) {
-    tree.relations[c] = csp.GetConstraint(c).relation;
-  }
-  for (int e = csp.NumConstraints(); e < h.NumEdges(); ++e) {
-    // Free-variable edge: a unary relation enumerating the domain.
-    std::vector<int> vars = h.EdgeVertices(e);
-    HT_CHECK(vars.size() == 1);
-    Relation r(vars);
-    for (int val = 0; val < csp.DomainSize(vars[0]); ++val) r.AddTuple({val});
-    tree.relations[e] = std::move(r);
-  }
-  auto assignment = AcyclicSolve(std::move(tree), pool);
+  auto assignment = AcyclicSolve(BuildRelationTreeFromJoinTree(csp), pool);
   if (!assignment.has_value()) return std::nullopt;
   std::vector<int> out(csp.NumVariables(), 0);
   for (auto [var, val] : *assignment) out[var] = val;

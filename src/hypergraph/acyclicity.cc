@@ -9,14 +9,6 @@
 
 namespace hypertree {
 
-std::vector<std::vector<int>> JoinTree::Children() const {
-  std::vector<std::vector<int>> children(parent.size());
-  for (size_t e = 0; e < parent.size(); ++e) {
-    if (parent[e] >= 0) children[parent[e]].push_back(static_cast<int>(e));
-  }
-  return children;
-}
-
 namespace {
 
 // Runs GYO reduction. Returns true if the hypergraph reduces to nothing

@@ -22,9 +22,6 @@ namespace hypertree {
 struct JoinTree {
   int root = -1;
   std::vector<int> parent;  // parent[e] = parent edge id, -1 for root
-
-  /// Children lists derived from `parent`.
-  std::vector<std::vector<int>> Children() const;
 };
 
 class IncidenceIndex;

@@ -6,6 +6,7 @@
 #include "cq/database.h"
 #include "cq/query.h"
 #include "hypergraph/acyclicity.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace hypertree {
@@ -49,6 +50,13 @@ TEST(CqParserTest, ErrorsAreReported) {
   EXPECT_FALSE(
       ParseConjunctiveQuery("ans(X) :- r(X, Y), t().", &error).has_value());
   EXPECT_TRUE(ParseConjunctiveQuery("ans() :- t(X).", &error).has_value());
+  // Only whitespace may follow the closing period.
+  for (const char* text : {"ans(X) :- r(X). s(", "ans(X) :- r(X). garbage"}) {
+    error.clear();
+    EXPECT_FALSE(ParseConjunctiveQuery(text, &error).has_value()) << text;
+    EXPECT_NE(error.find("after '.'"), std::string::npos) << text;
+  }
+  EXPECT_TRUE(ParseConjunctiveQuery("ans(X) :- r(X). \n", &error).has_value());
 }
 
 TEST(CqParserTest, QueryHypergraphStructure) {
@@ -109,6 +117,54 @@ TEST(CqAnswerTest, ArityMismatchReported) {
   std::string error;
   EXPECT_FALSE(AnswerQuery(*q, SmallDb(), &error).has_value());
   EXPECT_NE(error.find("arity"), std::string::npos);
+}
+
+TEST(CqAnswerTest, InvalidQueriesReturnAnError) {
+  // Hand-built queries skip the parser; the shared check still rejects
+  // them instead of letting them reach the decomposition.
+  Database db = SmallDb();
+  db.AddTable("z", Table{0, {{}}});
+  ConjunctiveQuery no_atoms;
+  ConjunctiveQuery empty_atom;
+  empty_atom.atoms = {Atom{"z", {}}};
+  ConjunctiveQuery unsafe_head;
+  unsafe_head.head = {"W"};
+  unsafe_head.atoms = {Atom{"r", {"X", "Y"}}};
+  const std::pair<const ConjunctiveQuery*, const char*> cases[] = {
+      {&no_atoms, "no body atoms"},
+      {&empty_atom, "no variables"},
+      {&unsafe_head, "head variable W"},
+  };
+  for (const auto& [q, message] : cases) {
+    std::string error;
+    EXPECT_FALSE(ValidateConjunctiveQuery(*q, &error));
+    EXPECT_NE(error.find(message), std::string::npos) << error;
+    error.clear();
+    EXPECT_FALSE(AnswerQuery(*q, db, &error).has_value()) << message;
+    EXPECT_NE(error.find(message), std::string::npos) << error;
+    error.clear();
+    EXPECT_FALSE(BruteForceAnswer(*q, db, &error).has_value()) << message;
+    EXPECT_NE(error.find(message), std::string::npos) << error;
+  }
+}
+
+TEST(CqAnswerTest, EmptyAnswerStopsAfterBottomUpPass) {
+  // t holds 5 and 6, r's first column 1, 2 and 4: no answer. The GHD has
+  // the root {Z, W} (lambda r, four rows) and the leaf {Z} (lambda t).
+  // The bottom-up pass empties the root, dropping r's four rows, and the
+  // full reduction stops there: t's two rows are not dropped top-down.
+  auto q = ParseConjunctiveQuery("ans(W) :- t(Z), r(Z, W).");
+  ASSERT_TRUE(q.has_value());
+  metrics::Counter& dropped =
+      metrics::GetCounter("relation.rows_semijoin_dropped");
+  const long before = dropped.Value();
+  AnswerStats stats;
+  auto result = AnswerQuery(*q, SmallDb(), nullptr, &stats);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->schema(), (std::vector<int>{0}));  // W
+  EXPECT_TRUE(result->Empty());
+  EXPECT_EQ(dropped.Value() - before, 4);
+  EXPECT_EQ(stats.intermediate_tuples, 6);  // the two bags, as built
 }
 
 TEST(CqAnswerTest, CyclicQueryMatchesBruteForce) {

@@ -51,6 +51,10 @@ std::map<std::string, long> KernelCounters() {
        metrics::GetCounter("relation.rows_semijoin_dropped").Value()},
       {"probe_collisions",
        metrics::GetCounter("relation.probe_collisions").Value()},
+      {"morsels_processed",
+       metrics::GetCounter("relation.morsels.processed").Value()},
+      {"morsels_skipped",
+       metrics::GetCounter("relation.morsels.skipped").Value()},
   };
 }
 
@@ -131,23 +135,41 @@ TEST_P(ParallelYannakakisTest, AnswerQueryBitIdenticalTupleOrder) {
     }
     db.AddRows(name, std::move(rows));
   }
-  const char* queries[] = {
-      "ans(X, W) :- a(X, Y), b(Y, Z), c(Z, W).",
-      "ans(X, Y, Z) :- a(X, Y), b(Y, Z), c(Z, X).",  // cyclic
-      "ans() :- a(X, Y), b(Y, X).",                  // Boolean
+  // d's first column lies outside the values of a, b and c (0..4), so a
+  // query that reaches it through a shared variable has no answer.
+  db.AddRows("d", {{5, 1}, {6, 2}, {7, 3}});
+  struct Case {
+    const char* text;
+    bool empty;
   };
-  for (const char* text : queries) {
+  const Case cases[] = {
+      {"ans(X, W) :- a(X, Y), b(Y, Z), c(Z, W).", false},
+      {"ans(X, Y, Z) :- a(X, Y), b(Y, Z), c(Z, X).", false},  // cyclic
+      {"ans() :- a(X, Y), b(Y, X).", false},                  // Boolean
+      {"ans(X, W) :- a(X, Y), b(Y, Z), d(Z, W).", true},
+      {"ans() :- a(X, Y), b(Y, Z), d(Z, X).", true},          // Boolean
+  };
+  for (const auto& [text, empty] : cases) {
     auto q = ParseConjunctiveQuery(text);
     ASSERT_TRUE(q.has_value()) << text;
     AnswerStats seq_stats, par_stats;
+    auto seq_before = KernelCounters();
     auto seq = AnswerQuery(*q, db, nullptr, &seq_stats);
+    auto seq_delta = Delta(seq_before, KernelCounters());
+    auto par_before = KernelCounters();
     auto par = AnswerQuery(*q, db, nullptr, &par_stats, &pool);
+    auto par_delta = Delta(par_before, KernelCounters());
     ASSERT_TRUE(seq.has_value() && par.has_value()) << text;
     // Bit-identical: schema, tuples AND tuple order.
     EXPECT_EQ(seq->schema(), par->schema()) << text;
     EXPECT_EQ(seq->ToTuples(), par->ToTuples()) << text << " seed " << seed;
     EXPECT_EQ(seq_stats.intermediate_tuples, par_stats.intermediate_tuples)
         << text << " seed " << seed;
+    EXPECT_EQ(seq_delta, par_delta)
+        << "kernel counters diverged, " << text << " seed " << seed;
+    if (empty) {
+      EXPECT_TRUE(seq->Empty()) << text;
+    }
   }
 }
 

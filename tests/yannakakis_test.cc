@@ -5,6 +5,7 @@
 #include "csp/backtracking.h"
 #include "csp/generators.h"
 #include "hypergraph/generators.h"
+#include "td/tree_decomposition.h"
 
 namespace hypertree {
 namespace {
@@ -20,8 +21,7 @@ TEST(YannakakisTest, SimpleChain) {
   Relation t({2, 3});
   t.AddTuple({3, 4});
   tree.relations = {r, s, t};
-  tree.parent = {-1, 0, 1};
-  tree.root = 0;
+  tree.shape = TreeShape(3, {{0, 1}, {1, 2}}, /*root=*/0);
   auto result = AcyclicSolve(tree);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ((*result)[0], 1);
@@ -37,8 +37,7 @@ TEST(YannakakisTest, DetectsInconsistency) {
   Relation s({1, 2});
   s.AddTuple({9, 9});  // no tuple matches value 2 for variable 1
   tree.relations = {r, s};
-  tree.parent = {-1, 0};
-  tree.root = 0;
+  tree.shape = TreeShape(2, {{0, 1}}, /*root=*/0);
   EXPECT_FALSE(AcyclicSolve(tree).has_value());
 }
 
@@ -47,6 +46,36 @@ TEST(YannakakisTest, EmptyTree) {
   auto result = AcyclicSolve(tree);
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->empty());
+}
+
+TEST(YannakakisTest, RootingOrdersChildrenAscending) {
+  // Tree edges added out of id order, so TreeNeighbors(0) is {4, 1} and
+  // TreeNeighbors(4) is {0, 3, 2}: the shape must not follow that order.
+  TreeDecomposition td(5);
+  for (int p = 0; p < 5; ++p) td.AddNode(Bitset(5));
+  td.AddTreeEdge(0, 4);
+  td.AddTreeEdge(4, 3);
+  td.AddTreeEdge(0, 1);
+  td.AddTreeEdge(4, 2);
+  ASSERT_EQ(td.TreeNeighbors(0), (std::vector<int>{4, 1}));
+  TreeShape shape(td.NumNodes(), td.TreeEdges(), /*root=*/0);
+  EXPECT_EQ(shape.root(), 0);
+  EXPECT_EQ(shape.children(0), (std::vector<int>{1, 4}));
+  EXPECT_EQ(shape.children(4), (std::vector<int>{2, 3}));
+  EXPECT_TRUE(shape.children(1).empty());
+  EXPECT_EQ(shape.order(), (std::vector<int>{0, 1, 4, 2, 3}));
+  const std::vector<int> parent = {-1, 0, 4, 4, 0};
+  for (int p = 0; p < 5; ++p) EXPECT_EQ(shape.parent(p), parent[p]) << p;
+
+  // Another root re-orients the same edges.
+  TreeShape at4(td.NumNodes(), td.TreeEdges(), /*root=*/4);
+  EXPECT_EQ(at4.children(4), (std::vector<int>{0, 2, 3}));
+  EXPECT_EQ(at4.order(), (std::vector<int>{4, 0, 2, 3, 1}));
+  EXPECT_EQ(TreeShape().NumNodes(), 0);
+
+  // Not a single tree: a forest, and n - 1 edges closing a cycle.
+  EXPECT_DEATH(TreeShape(3, {{0, 1}}, 0), "not a single tree");
+  EXPECT_DEATH(TreeShape(4, {{0, 1}, {1, 2}, {2, 0}}, 0), "not a single tree");
 }
 
 TEST(YannakakisTest, SolveAcyclicCspAgainstBacktracking) {
