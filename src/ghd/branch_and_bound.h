@@ -3,6 +3,8 @@
 // Searches elimination orderings (complete for ghw by Theorem 3) with
 // exact cached bag covers as step costs, the tw-ksc lower bound for
 // pruning, a whole-remainder cover analog of PR1, and the PR2 swap rule.
+// It is BranchAndBoundOverOrderings (td/elimination_search.h) with the ghw
+// bag-cost policy (ghd/ghw_search.cc), the same search BB-tw runs.
 
 #ifndef HYPERTREE_GHD_BRANCH_AND_BOUND_H_
 #define HYPERTREE_GHD_BRANCH_AND_BOUND_H_

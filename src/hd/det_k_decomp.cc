@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "bounds/ghw_lower_bounds.h"
-#include "ghd/search_common.h"
 #include "hypergraph/incidence_index.h"
 #include "kernels/kernels.h"
 #include "search/decomp_cache.h"
@@ -521,17 +520,11 @@ WidthResult HypertreeWidth(const Hypergraph& h, const SearchOptions& options,
   // aggregate naturally.
   IncidenceIndex index(h);
   DecompCache cache;
-  if (options.exchange) options.exchange->PublishLowerBound(lb);
   for (int k = std::max(1, lb); k <= m; ++k) {
     // Width cap: proving hw <= k cannot improve on an upper bound of
     // max_width, so stop before k reaches it (the portfolio seeds this
-    // with the prologue incumbent; deterministic, unlike the live poll).
+    // with the prologue incumbent).
     if (options.max_width > 0 && k >= options.max_width) break;
-    // Live racing: skip k values a concurrent engine has already beaten
-    // (a hypertree decomposition of width k is also a ghd of width k, so
-    // only k < incumbent can improve the race).
-    if (options.exchange && k >= options.exchange->IncumbentUpperBound())
-      break;
     SearchOptions sub = options;
     if (options.time_limit_seconds > 0) {
       sub.time_limit_seconds =
@@ -545,7 +538,6 @@ WidthResult HypertreeWidth(const Hypergraph& h, const SearchOptions& options,
       res.lower_bound = k;
       res.exact = true;
       if (witness != nullptr) *witness = std::move(hd);
-      if (options.exchange) options.exchange->PublishUpperBound(k);
       break;
     }
     if (aborted) break;       // budget ran out: bounds only

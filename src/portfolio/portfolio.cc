@@ -95,8 +95,7 @@ EliminationOrdering OrderingFromHd(const HypertreeDecomposition& hd, int n) {
 // scheduling — unless the wall-clock backstop fires first.
 void RunEngine(const Hypergraph& h, const EngineSpec& spec,
                const PortfolioOptions& opts, int static_lb, int prologue_ub,
-               CancellationToken token, BoundExchange* exchange,
-               EngineOutcome* out) {
+               CancellationToken token, EngineOutcome* out) {
   Timer timer;
   long budget_nodes = spec.max_nodes > 0 ? spec.max_nodes : opts.max_nodes;
   switch (spec.kind) {
@@ -109,7 +108,6 @@ void RunEngine(const Hypergraph& h, const EngineSpec& spec,
       sub.cancel = token;
       // Proving hw <= k for k >= the incumbent cannot improve the race.
       sub.max_width = prologue_ub;
-      sub.exchange = exchange;
       std::optional<HypertreeDecomposition> hd;
       WidthResult r = HypertreeWidth(h, sub, &hd);
       out->stats.nodes = r.nodes;
@@ -137,7 +135,6 @@ void RunEngine(const Hypergraph& h, const EngineSpec& spec,
       g.threads = 1;
       g.cancel = token;
       g.initial_upper_bound = prologue_ub;
-      g.exchange = exchange;
       WidthResult r = spec.kind == EngineKind::kBbGhw ? BranchAndBoundGhw(h, g)
                                                       : AStarGhw(h, g);
       out->stats.width = r.upper_bound;
@@ -273,7 +270,6 @@ PortfolioResult PortfolioGhw(const Hypergraph& h,
   int threads = options.threads > 0 ? options.threads
                                     : ThreadPool::HardwareThreads();
   SharedBounds shared(static_cast<int>(pr.plan.lineup.size()), static_lb, u0);
-  BoundExchange* exchange = options.live_sharing ? &shared : nullptr;
   std::vector<EngineOutcome> outcomes(pr.plan.lineup.size());
   EnginesRacedMetric().Add(static_cast<long>(pr.plan.lineup.size()));
   if (options.trace) {
@@ -284,8 +280,8 @@ PortfolioResult PortfolioGhw(const Hypergraph& h,
     ThreadPool pool(std::min<int>(
         threads, static_cast<int>(pr.plan.lineup.size())));
     for (size_t i = 0; i < pr.plan.lineup.size(); ++i) {
-      pool.Submit([&outcomes, &pr, &shared, &options, &h, &exchange,
-                   static_lb, u0, i] {
+      pool.Submit([&outcomes, &pr, &shared, &options, &h, static_lb, u0,
+                   i] {
         EngineOutcome& out = outcomes[i];
         out.stats = pr.engines[i];
         // Supersede cancellation from lower-indexed provers, merged with
@@ -299,8 +295,7 @@ PortfolioResult PortfolioGhw(const Hypergraph& h,
           return;
         }
         out.stats.ran = true;
-        RunEngine(h, pr.plan.lineup[i], options, static_lb, u0, token,
-                  exchange, &out);
+        RunEngine(h, pr.plan.lineup[i], options, static_lb, u0, token, &out);
         if (out.proved) {
           out.stats.proved = true;
           shared.Prove(static_cast<int>(i), out.proved_width);

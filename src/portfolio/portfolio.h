@@ -22,12 +22,8 @@
 // width, its node count, and the witness are identical for every
 // --threads value; only per-engine wall times and which losers got
 // cancelled early vary, and those are reported as non-compared counters.
-//
-// Live mode (PortfolioOptions::live_sharing) additionally wires
-// SharedBounds into every engine's SearchOptions::exchange so BB/A*
-// tighten cutoffs mid-search and det-k skips beaten k values. That is
-// faster on wall time but makes node counts timing-dependent, so results
-// are flagged non-deterministic.
+// Engines share bounds only through the prologue and the supersede
+// cancellation: none reads another engine's bounds mid-search.
 
 #ifndef HYPERTREE_PORTFOLIO_PORTFOLIO_H_
 #define HYPERTREE_PORTFOLIO_PORTFOLIO_H_
@@ -56,9 +52,6 @@ struct PortfolioOptions {
   /// Racing threads; <= 0: hardware concurrency. Does not change results.
   int threads = 0;
   uint64_t seed = 1;
-  /// Share bounds through the live exchange (timing-dependent, see file
-  /// comment) instead of only through the deterministic prologue.
-  bool live_sharing = false;
   /// Print one per-engine trace line to stderr as the race settles.
   bool trace = false;
   /// External cooperative cancellation (e.g. a serve request deadline or

@@ -1,14 +1,18 @@
-// SharedBounds: the atomic bound state racing portfolio engines share.
+// SharedBounds: the atomic state racing portfolio engines share.
 //
-// Engines publish proven lower bounds (max-merged) and witnessed upper
-// bounds (min-merged) and may poll the incumbent to prune. An engine that
-// *proves* optimality calls Prove(), which cancels every engine with a
-// LARGER index via its CancellationToken; lower-indexed engines run to
-// completion. That supersede rule is what keeps racing deterministic:
-// whether engine i finishes is then independent of thread scheduling (it
-// can only be cancelled by provers ordered before it, whose own runs are
-// deterministic), so "lowest-indexed prover" — the PR-1 lowest-index-wins
-// idiom — names the same winner for every --threads value.
+// The bounds start at the prologue's static lower bound and heuristic
+// incumbent, and only Prove() moves them: engines neither publish nor
+// read bounds during a race, so the bounds and their update counters
+// record only proofs. An engine that *proves* optimality calls Prove(),
+// which max-merges the width into the lower bound, min-merges it into the
+// upper bound and cancels every engine with a LARGER index via its
+// CancellationToken; lower-indexed engines run to completion. That
+// supersede rule is what keeps racing deterministic: whether engine i
+// finishes is then independent of thread scheduling (it can only be
+// cancelled by provers ordered before it, whose own runs are
+// deterministic), so "lowest-indexed prover" — the lowest-index-wins
+// rule of the parallel det-k root search — names the same winner for
+// every --threads value.
 
 #ifndef HYPERTREE_PORTFOLIO_SHARED_BOUNDS_H_
 #define HYPERTREE_PORTFOLIO_SHARED_BOUNDS_H_
@@ -18,17 +22,15 @@
 #include <mutex>
 #include <vector>
 
-#include "td/exact.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace hypertree {
 
-/// Thread-safe bound state for one race. All bound reads/writes are
-/// lock-free (relaxed atomics: bounds are monotone scalars, so stale
-/// reads only delay pruning, never unsound it); only the first-prove
-/// timestamp takes a mutex, off the hot path.
-class SharedBounds : public BoundExchange {
+/// Thread-safe race state. All bound reads/writes are lock-free (relaxed
+/// atomics: bounds are monotone scalars merged by CAS); only the
+/// first-prove timestamp takes a mutex, off the hot path.
+class SharedBounds {
  public:
   /// `num_engines` fixed for the race; optional seed bounds come from the
   /// deterministic prologue (static lower bound, heuristic incumbent).
@@ -36,11 +38,12 @@ class SharedBounds : public BoundExchange {
                         int upper_bound = INT_MAX)
       : lb_(lower_bound), ub_(upper_bound), tokens_(num_engines) {}
 
-  // BoundExchange interface (hot path, relaxed atomics).
-  int IncumbentUpperBound() const override {
+  /// Best witnessed upper bound so far; INT_MAX when none.
+  int IncumbentUpperBound() const {
     return ub_.load(std::memory_order_relaxed);
   }
-  void PublishUpperBound(int width) override {
+  /// Min-merges a witnessed width.
+  void PublishUpperBound(int width) {
     int seen = ub_.load(std::memory_order_relaxed);
     while (width < seen) {
       if (ub_.compare_exchange_weak(seen, width, std::memory_order_relaxed)) {
@@ -49,7 +52,8 @@ class SharedBounds : public BoundExchange {
       }
     }
   }
-  void PublishLowerBound(int bound) override {
+  /// Max-merges a proven lower bound.
+  void PublishLowerBound(int bound) {
     int seen = lb_.load(std::memory_order_relaxed);
     while (bound > seen) {
       if (lb_.compare_exchange_weak(seen, bound, std::memory_order_relaxed)) {

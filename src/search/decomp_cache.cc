@@ -24,6 +24,12 @@ metrics::Counter& InsertsMetric() {
 
 }  // namespace
 
+void AddDecompCacheMetrics(const DecompCacheStats& stats) {
+  HitsMetric().Add(stats.hits);
+  MissesMetric().Add(stats.misses);
+  InsertsMetric().Add(stats.inserts);
+}
+
 void DecompCache::CountHit() {
   hits_.fetch_add(1, std::memory_order_relaxed);
   HitsMetric().Increment();

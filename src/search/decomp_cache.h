@@ -10,10 +10,13 @@
 //     re-deriving it. Both are order-independent facts, which is what
 //     makes the table safe to share across concurrent search workers.
 //
-//  2. Transposition / dominance tables for the elimination-ordering
-//     searches (BB-ghw, A*-ghw): key is the eliminated vertex set, the
-//     value the smallest g (max bag cover so far) the set was reached
-//     with. A revisit with g' >= g is dominated and pruned.
+//  2. Transposition / dominance probes: key is an eliminated vertex set,
+//     the value the smallest g (max bag cover so far) the set was reached
+//     with. A revisit with g' >= g is dominated and pruned. The
+//     elimination-ordering searches, which run on one thread each, keep
+//     the same table in a private flat map (search_internal::BestGTable
+//     in td/elimination_search.h) and report through
+//     AddDecompCacheMetrics.
 //
 //  3. Whole-instance witness entries for the decomposition service
 //     (src/serve): key is the 128-bit content hash of the normalized
@@ -54,6 +57,11 @@ struct DecompCacheStats {
     return *this;
   }
 };
+
+/// Adds `stats` to the process-wide decomp_cache.* registry counters that
+/// every DecompCache feeds probe by probe. For single-threaded tables that
+/// count on their own and report once per search.
+void AddDecompCacheMetrics(const DecompCacheStats& stats);
 
 /// A recorded decomposition subtree: nodes in parent-first order with
 /// subtree-relative parent indices (-1 marks the subtree root, which the

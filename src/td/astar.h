@@ -7,7 +7,9 @@
 // equal sets are merged (duplicate detection), turning the n! ordering
 // tree into the 2^n subset lattice. The f-values of visited states are
 // nondecreasing, so an interrupted run still reports a proven lower bound
-// (thesis §5.3).
+// (thesis §5.3). It is AStarOverOrderings (td/elimination_search.h) with
+// the treewidth bag-cost policy (td/treewidth_search.cc), the same search
+// A*-ghw runs.
 
 #ifndef HYPERTREE_TD_ASTAR_H_
 #define HYPERTREE_TD_ASTAR_H_

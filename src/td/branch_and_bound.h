@@ -5,7 +5,9 @@
 // largest elimination degree on the path and h a minor-min-width lower
 // bound of the remaining graph; applies simplicial / strongly-almost-
 // simplicial reductions, pruning rule PR1 (remaining-size bound) and PR2
-// (adjacent-swap symmetry breaking).
+// (adjacent-swap symmetry breaking). It is BranchAndBoundOverOrderings
+// (td/elimination_search.h) with the treewidth bag-cost policy
+// (td/treewidth_search.cc), the same search BB-ghw runs.
 
 #ifndef HYPERTREE_TD_BRANCH_AND_BOUND_H_
 #define HYPERTREE_TD_BRANCH_AND_BOUND_H_
@@ -16,7 +18,8 @@
 namespace hypertree {
 
 /// Computes the treewidth of `g` (exact if the budget allows; otherwise an
-/// anytime lower/upper bound pair).
+/// anytime lower/upper bound pair). As in BB-ghw, the search stops on its
+/// max_nodes-th node tick, so it expands at most max_nodes - 1 nodes.
 WidthResult BranchAndBoundTreewidth(const Graph& g,
                                     const SearchOptions& options = {});
 

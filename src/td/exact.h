@@ -1,12 +1,10 @@
 // Shared types for the exact (anytime) width algorithms: result/options
-// structs, the unified SearchBudget, and the cross-engine BoundExchange
-// the portfolio racer plugs into.
+// structs and the unified SearchBudget.
 
 #ifndef HYPERTREE_TD_EXACT_H_
 #define HYPERTREE_TD_EXACT_H_
 
 #include <atomic>
-#include <climits>
 #include <cstdint>
 #include <memory>
 
@@ -28,29 +26,6 @@ struct WidthResult {
   double seconds = 0.0;  // wall time spent
   EliminationOrdering best_ordering;  // witnesses upper_bound
   DecompCacheStats cache_stats;  // memo/transposition table effectiveness
-};
-
-/// Optional cross-search bound exchange. The portfolio's SharedBounds
-/// implements this so concurrently racing engines can tighten each
-/// other's cutoffs mid-search: searches poll IncumbentUpperBound() to
-/// shrink their pruning threshold and publish their own improvements.
-/// All methods must be thread-safe; polling happens on search hot paths,
-/// so implementations should be a relaxed atomic load. Note that values
-/// read from another engine arrive at timing-dependent points — searches
-/// driven through an exchange report timing-dependent node counts, so
-/// the deterministic racing mode leaves `exchange` null and shares
-/// bounds only through the deterministic pre-race prologue
-/// (initial_upper_bound) and supersede-cancellation.
-class BoundExchange {
- public:
-  virtual ~BoundExchange() = default;
-  /// Best upper bound (witnessed width) published by any engine;
-  /// INT_MAX when none.
-  virtual int IncumbentUpperBound() const = 0;
-  /// Publishes an improved witnessed width found by this engine.
-  virtual void PublishUpperBound(int width) = 0;
-  /// Publishes a proven lower bound found by this engine.
-  virtual void PublishLowerBound(int bound) = 0;
 };
 
 /// Budget/feature knobs for the exact searches.
@@ -75,16 +50,14 @@ struct SearchOptions {
   /// separator search). <= 0: hardware concurrency. Results are
   /// deterministic regardless of the thread count.
   int threads = 0;
-  /// Memoization: det-k's (component, connector, k) subproblem cache and
-  /// the BB/A* transposition tables. Off reverts to the seed behavior
-  /// (per-run local negative memo only) for ablation/soundness checks.
+  /// Memoization: det-k's (component, connector, k) subproblem cache, and
+  /// the ghw searches' transposition table and bound memos (the treewidth
+  /// searches have neither). Off reverts to the seed behavior (per-run
+  /// local negative memo only) for ablation/soundness checks.
   bool use_decomp_cache = true;
   /// Cooperative external cancellation; Cancel() makes the search return
   /// its anytime bounds as if the deadline had expired.
   CancellationToken cancel;
-  /// Live cross-engine bound exchange (nullptr: disabled). Must outlive
-  /// the search. See BoundExchange for the determinism caveat.
-  BoundExchange* exchange = nullptr;
 };
 
 /// Counts cancellation-token polls across all searches, so the portfolio
@@ -100,7 +73,8 @@ inline metrics::Counter& CancelPollMetric() {
 /// every 64 ticks, the node budget and the cancellation token on every
 /// tick. Copies share the tick counter and the deadline (det-k's parallel
 /// workers draw from one global budget), while the sticky `exceeded` state
-/// is per-copy so each worker stops itself exactly once.
+/// and the PollDeadline() count are per-copy so each worker stops itself
+/// exactly once.
 class SearchBudget {
  public:
   explicit SearchBudget(const SearchOptions& opts)
@@ -135,12 +109,15 @@ class SearchBudget {
     return exceeded_;
   }
 
-  /// Polls only the wall clock / cancellation (for loops that tick
-  /// elsewhere).
+  /// Polls the cancellation token on every call and the wall clock on
+  /// every 16th, without a tick (for loops that tick elsewhere, such as
+  /// the searches' per-child bag prices: a clock read can cost more than
+  /// a cheap price).
   bool PollDeadline() {
     if (exceeded_) return true;
     CancelPollMetric().Increment();
-    if (deadline_.Expired() || cancel_.Cancelled()) exceeded_ = true;
+    if (cancel_.Cancelled() || ((++polls_ & 15) == 0 && deadline_.Expired()))
+      exceeded_ = true;
     return exceeded_;
   }
 
@@ -155,6 +132,7 @@ class SearchBudget {
   CancellationToken cancel_;
   std::shared_ptr<std::atomic<long>> ticks_;
   bool exceeded_ = false;
+  unsigned polls_ = 0;
 };
 
 }  // namespace hypertree

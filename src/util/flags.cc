@@ -1,5 +1,7 @@
 #include "util/flags.h"
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 
 #include "util/stringutil.h"
@@ -23,6 +25,17 @@ Flags Flags::Parse(int argc, char** argv) {
     }
   }
   return flags;
+}
+
+bool Flags::CheckKnown(std::initializer_list<std::string_view> known) const {
+  bool ok = true;
+  for (const auto& [name, value] : values_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      std::fprintf(stderr, "error: unknown flag --%s\n", name.c_str());
+      ok = false;
+    }
+  }
+  return ok;
 }
 
 bool Flags::Has(const std::string& name) const {

@@ -4,8 +4,10 @@
 #ifndef HYPERTREE_UTIL_FLAGS_H_
 #define HYPERTREE_UTIL_FLAGS_H_
 
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hypertree {
@@ -34,6 +36,11 @@ class Flags {
 
   /// Boolean value: present without value, "1", "true", "yes" are true.
   bool GetBool(const std::string& name, bool def = false) const;
+
+  /// True when every parsed flag name is in `known`. Otherwise prints
+  /// "error: unknown flag --NAME" to stderr for each other name and
+  /// returns false, so a misspelled or retired flag is never ignored.
+  bool CheckKnown(std::initializer_list<std::string_view> known) const;
 
   /// Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }

@@ -1,5 +1,8 @@
 #include "util/flags.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace hypertree {
@@ -39,6 +42,23 @@ TEST(FlagsTest, Positional) {
   Flags f = ParseArgs({"--a=1", "input.hg", "more"});
   EXPECT_EQ(f.positional(),
             (std::vector<std::string>{"input.hg", "more"}));
+}
+
+TEST(FlagsTest, CheckKnownNamesEachUnknownFlag) {
+  Flags ok = ParseArgs({"--method=bb", "--quiet", "input.hg"});
+  EXPECT_TRUE(ok.CheckKnown({"method", "quiet", "seed"}));
+
+  // A misspelled value flag and a bare unknown flag are both reported;
+  // known names and positional arguments are not.
+  Flags bad = ParseArgs({"--method=portfolio", "--time-limt=0.001",
+                         "--no-such-flag", "input.hg"});
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(bad.CheckKnown({"method", "time-limit"}));
+  std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("--time-limt"), std::string::npos) << err;
+  EXPECT_NE(err.find("--no-such-flag"), std::string::npos) << err;
+  EXPECT_EQ(err.find("--method"), std::string::npos) << err;
+  EXPECT_EQ(err.find("input.hg"), std::string::npos) << err;
 }
 
 TEST(FlagsTest, DefaultsOnAbsentOrBad) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "ghd/branch_and_bound.h"
 #include "graph/generators.h"
+#include "hypergraph/hypergraph.h"
 #include "ordering/evaluator.h"
 #include "td/astar.h"
 #include "td/branch_and_bound.h"
@@ -99,9 +101,18 @@ TEST(TreewidthExactTest, BudgetedRunReturnsBounds) {
   opts.max_nodes = 50;
   WidthResult bb = BranchAndBoundTreewidth(g, opts);
   EXPECT_LE(bb.lower_bound, bb.upper_bound);
+  EXPECT_FALSE(bb.exact);
   WidthResult as = AStarTreewidth(g, opts);
   EXPECT_LE(as.lower_bound, as.upper_bound);
   EXPECT_GE(as.lower_bound, 1);
+  // One node-cap rule for both branch-and-bound searches: SearchBudget
+  // stops on the max_nodes-th tick, so max_nodes - 1 nodes are expanded.
+  GhwSearchOptions ghw_opts;
+  ghw_opts.max_nodes = opts.max_nodes;
+  WidthResult bb_ghw = BranchAndBoundGhw(HypergraphFromGraph(g), ghw_opts);
+  EXPECT_FALSE(bb_ghw.exact);
+  EXPECT_EQ(bb.nodes, 49);
+  EXPECT_EQ(bb_ghw.nodes, 49);
 }
 
 TEST(TreewidthExactTest, KTreesAreExactlyK) {

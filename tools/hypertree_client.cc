@@ -13,6 +13,9 @@
 // Prints the raw JSON response to stdout. Exit codes: 0 ok, 1 transport
 // or server error, 2 usage, 3 --expect-source mismatch, 4 the server
 // answered status "timeout".
+//
+// An unknown flag is an error: the tool names it, prints its usage and
+// exits 2.
 
 #include <cstdio>
 #include <fstream>
@@ -41,6 +44,10 @@ int Usage() {
 
 int main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
+  if (!flags.CheckKnown({"help", "port", "budget-seconds", "expect-source",
+                         "witness-out", "quiet"})) {
+    return Usage();
+  }
   if (flags.Has("help") || flags.positional().empty()) return Usage();
   const std::string& op = flags.positional()[0];
 

@@ -23,8 +23,9 @@
 //                       BENCH.json schema, see docs/BENCHMARKS.md) plus
 //                       the metrics-registry snapshot instead of text
 //   --portfolio-trace   (portfolio only) per-engine race trace on stderr
-//   --portfolio-live    (portfolio only) live bound sharing: faster wall
-//                       time, timing-dependent node counts
+//
+// An unknown flag is an error: the tool names it, prints its usage and
+// exits 2.
 
 #include <cmath>
 #include <cstdio>
@@ -127,7 +128,7 @@ int Usage() {
                "       [--time-limit=SEC] [--threads=N] [--seed=N] "
                "[--output=FILE] [--quiet] [--json]\n"
                "       [--kernel-backend=auto|scalar|avx2]\n"
-               "       [--portfolio-trace] [--portfolio-live] <instance>\n"
+               "       [--portfolio-trace] <instance>\n"
                "       (--algorithm is an alias for --method)\n");
   return 2;
 }
@@ -136,7 +137,13 @@ int Usage() {
 
 int main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
-  if (flags.positional().size() != 1) return Usage();
+  if (!flags.CheckKnown({"help", "method", "algorithm", "measure",
+                         "time-limit", "threads", "seed", "output",
+                         "kernel-backend", "quiet", "json",
+                         "portfolio-trace"})) {
+    return Usage();
+  }
+  if (flags.Has("help") || flags.positional().size() != 1) return Usage();
   std::string error;
   auto h = LoadInstance(flags.positional()[0], &error);
   if (!h.has_value()) {
@@ -233,7 +240,6 @@ int main(int argc, char** argv) {
     popts.threads = threads;
     popts.seed = seed;
     popts.trace = flags.GetBool("portfolio-trace");
-    popts.live_sharing = flags.GetBool("portfolio-live");
     portfolio = PortfolioGhw(*h, popts);
     width = portfolio->result.upper_bound;
     exact = portfolio->result.exact;

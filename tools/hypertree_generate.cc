@@ -9,6 +9,9 @@
 //
 // Output goes to stdout (HyperBench format for hypergraphs, DIMACS .col /
 // PACE .gr for graphs).
+//
+// An unknown flag is an error: the tool names it, prints its usage and
+// exits 2.
 
 #include <cstdio>
 #include <iostream>
@@ -40,6 +43,11 @@ int Usage() {
 
 int main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
+  if (!flags.CheckKnown(
+          {"help", "family", "n", "m", "arity", "seed", "format"}) ||
+      flags.Has("help")) {
+    return Usage();
+  }
   std::string family = flags.GetString("family");
   int n = static_cast<int>(flags.GetInt("n", 5));
   int m = static_cast<int>(flags.GetInt("m", 2 * n));

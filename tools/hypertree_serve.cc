@@ -15,6 +15,9 @@
 //   --max-requests=N     exit after N requests (default: run until
 //                        shutdown request or SIGTERM/SIGINT)
 //
+// An unknown flag is an error: the tool names it, prints its usage and
+// exits 2.
+//
 // Protocol: 4-byte big-endian length prefix + JSON body per frame; see
 // docs/SERVING.md. Drive it with tools/hypertree_client.
 
@@ -26,15 +29,29 @@
 
 using namespace hypertree;
 
+namespace {
+
+void PrintUsage(std::FILE* out) {
+  std::fprintf(out,
+               "usage: hypertree_serve [--port=N] [--cache-dir=DIR] "
+               "[--cache-max-bytes=B]\n"
+               "                       [--metrics=FILE] [--budget-seconds=S]\n"
+               "                       [--threads=N] [--mem-shards=N] "
+               "[--max-requests=N]\n");
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
+  if (!flags.CheckKnown({"help", "port", "cache-dir", "cache-max-bytes",
+                         "metrics", "budget-seconds", "threads", "mem-shards",
+                         "max-requests"})) {
+    PrintUsage(stderr);
+    return 2;
+  }
   if (flags.Has("help")) {
-    std::printf(
-        "usage: hypertree_serve [--port=N] [--cache-dir=DIR] "
-        "[--cache-max-bytes=B]\n"
-        "                       [--metrics=FILE] [--budget-seconds=S]\n"
-        "                       [--threads=N] [--mem-shards=N] "
-        "[--max-requests=N]\n");
+    PrintUsage(stdout);
     return 0;
   }
   serve::ServerOptions options;

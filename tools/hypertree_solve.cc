@@ -25,6 +25,9 @@
 //                     Overrides HYPERTREE_MEMORY_BUDGET; 0 = unlimited.
 //   --json            print machine-readable JSON records (the BENCH.json
 //                     schema, see docs/BENCHMARKS.md) instead of text
+//
+// An unknown flag is an error: the tool names it, prints its usage and
+// exits 2.
 
 #include <cstdio>
 #include <string>
@@ -109,7 +112,10 @@ struct KernelCounters {
 
 int main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
-  if (flags.positional().size() != 1) {
+  if (!flags.CheckKnown({"help", "domain", "tightness", "plant", "seed",
+                         "threads", "hw", "count", "route", "kernel-backend",
+                         "memory-budget", "json"}) ||
+      flags.Has("help") || flags.positional().size() != 1) {
     std::fprintf(stderr,
                  "usage: hypertree_solve [--domain=D] [--tightness=T] "
                  "[--plant] [--seed=N] [--threads=N] [--hw] [--count] "
