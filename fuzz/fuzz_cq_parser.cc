@@ -5,6 +5,8 @@
 // most kMaxAtoms atoms is then answered over a small fixed database:
 // AnswerQuery must return a relation or an error, never abort, and must
 // agree with BruteForceAnswer on the sorted tuples whenever both succeed.
+// Table "w" holds negative and 2^30 values, whose keys do not pack into
+// one word, so queries over it run the engine's numbered key codes.
 
 #include <algorithm>
 #include <cstdint>
@@ -27,6 +29,9 @@ const hypertree::Database& FixedDatabase() {
     d.AddRows("r", {{1, 2}, {1, 3}, {2, 3}, {4, 4}});
     d.AddRows("s", {{2, 5}, {3, 5}, {3, 6}, {4, 4}});
     d.AddRows("t", {{5}, {6}});
+    constexpr int kWide = 1 << 30;
+    d.AddRows("w", {{-1, kWide}, {kWide, -5}, {-5, -1}, {kWide, kWide},
+                    {-1, -1}, {2, -5}});
     return d;
   }();
   return db;

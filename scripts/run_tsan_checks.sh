@@ -2,8 +2,9 @@
 # Builds the concurrency-sensitive targets under ThreadSanitizer and runs
 # the tests that exercise the thread pool and the shared decomposition
 # cache, plus the end-to-end determinism suite (which drives the parallel
-# det-k root search) and the pooled bag materialization (morsel loops
-# nested inside the per-bag fan-out).
+# det-k root search), the pooled bag materialization (morsel loops
+# nested inside the per-bag fan-out) and weighted counting (morsel-parallel
+# key coding of each child inside the per-subtree fan-out).
 #
 #   scripts/run_tsan_checks.sh [build-dir]
 #
@@ -21,7 +22,8 @@ cmake -S "${repo_root}" -B "${build_dir}" \
 
 tests=(thread_pool_test decomp_cache_test search_acceleration_test
        relation_kernel_test parallel_yannakakis_test shared_bounds_test
-       portfolio_test morsel_engine_test decomposition_solving_test)
+       portfolio_test morsel_engine_test decomposition_solving_test
+       counting_test)
 cmake --build "${build_dir}" -j "$(nproc)" --target "${tests[@]}"
 
 # halt_on_error makes a race fail the script instead of just logging it.

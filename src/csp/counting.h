@@ -3,9 +3,11 @@
 // is output-independent — unlike enumeration it stays polynomial for
 // bounded width even when there are exponentially many solutions.
 //
-// The weight aggregation hashes join keys in place on the flat relation
-// kernel, and the bottom-up pass parallelizes across independent subtrees
-// when given a ThreadPool (deterministic counts for any thread count).
+// Each child's weights are summed per key code and multiplied into its
+// parent's rows by the morsel engine (EngineWeightedSemijoin: the join's
+// key codes and dense/hash table, morsel-parallel), and the bottom-up pass
+// parallelizes across independent subtrees when given a ThreadPool
+// (deterministic counts for any thread count).
 
 #ifndef HYPERTREE_CSP_COUNTING_H_
 #define HYPERTREE_CSP_COUNTING_H_

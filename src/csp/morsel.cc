@@ -8,7 +8,6 @@
 #include <cstdlib>
 #include <mutex>
 
-#include "csp/tree_schedule.h"
 #include "util/check.h"
 
 namespace hypertree {
@@ -59,14 +58,6 @@ Morsel MorselAt(int m, long rows) {
 const int* MorselData(const Relation& r, int m) {
   if (r.Arity() == 0 || r.Empty()) return r.data().data();
   return r.Row(m * kMorselRows);
-}
-
-void ForEachMorsel(long rows, ThreadPool* pool,
-                   const std::function<void(int, int, int)>& visit) {
-  ParallelFor(MorselCount(rows), pool, [&visit, rows](int m) {
-    const Morsel b = MorselAt(m, rows);
-    visit(m, b.lo, b.hi);
-  });
 }
 
 bool ParseByteSize(const std::string& s, long long* out) {

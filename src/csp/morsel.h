@@ -18,12 +18,12 @@
 #define HYPERTREE_CSP_MORSEL_H_
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "csp/relation.h"
+#include "csp/tree_schedule.h"
 #include "util/metrics.h"
 
 namespace hypertree {
@@ -59,9 +59,20 @@ const int* MorselData(const Relation& r, int m);
 
 /// Calls visit(m, lo, hi) once per morsel of a `rows`-row relation
 /// through ParallelFor on `pool` (nullptr: in ascending order on the
-/// calling thread). Safe to call from inside a pool task.
-void ForEachMorsel(long rows, ThreadPool* pool,
-                   const std::function<void(int m, int lo, int hi)>& visit);
+/// calling thread). Safe to call from inside a pool task. A template, so
+/// a relation of one morsel calls `visit` directly, without wrapping it
+/// in a std::function.
+template <typename Visit>
+void ForEachMorsel(long rows, ThreadPool* pool, const Visit& visit) {
+  if (rows <= kMorselRows) {
+    if (rows > 0) visit(0, 0, static_cast<int>(rows));
+    return;
+  }
+  ParallelFor(MorselCount(rows), pool, [&visit, rows](int m) {
+    const Morsel b = MorselAt(m, rows);
+    visit(m, b.lo, b.hi);
+  });
+}
 
 /// Per-query memory budget in bytes (0 = unlimited): the threshold above
 /// which join outputs spill to disk and semijoin build tables switch to
@@ -166,8 +177,8 @@ class ChunkedRelation {
     return std::move(rel_);
   }
 
-  /// Materializes a spilled relation back into RAM (generic-fallback and
-  /// final-answer paths); resident form moves out for free.
+  /// Materializes a spilled relation back into RAM (the engine itself
+  /// streams spilled chunks instead); resident form moves out for free.
   Relation ToRelation() &&;
 
  private:

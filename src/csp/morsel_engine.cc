@@ -113,9 +113,8 @@ struct ChunkSource {
   }
 };
 
-// Full-buffer value range (empty buffer: {0, 0} — the same neutral
-// start the pre-engine JoinKeyTable range scan used). The contiguous
-// scan vectorizes and at most over-estimates the needed bits.
+// Full-buffer value range (empty buffer: {0, 0}, a neutral start). The
+// contiguous scan vectorizes and at most over-estimates the needed bits.
 struct ValueRange {
   int mn = 0;
   int mx = 0;
@@ -147,10 +146,9 @@ ValueRange ScanSource(const ChunkSource& a) {
   return v;
 }
 
-// Bits per packed key element, or 0 when the pair does not pack
-// (no shared variables, negative values, > 64 bits total).
+// Bits per packed key element for k >= 1 key columns, or 0 when the
+// values do not pack (negative values, > 64 bits total).
 int PlanBits(size_t k, ValueRange a, ValueRange b) {
-  if (k == 0) return 0;
   if (a.mn < 0 || b.mn < 0) return 0;
   const uint64_t mx = static_cast<uint64_t>(std::max(a.mx, b.mx));
   int bits = 1;
@@ -158,48 +156,190 @@ int PlanBits(size_t k, ValueRange a, ValueRange b) {
   return static_cast<int>(k) * bits <= 64 ? bits : 0;
 }
 
-// Packs every row of `r` (morsel-parallel; each morsel writes a
-// disjoint key range and its own min/max slot, combined in morsel
-// order, so the result is schedule-independent).
-void PackRelationKeys(const Relation& r, const std::vector<int>& pos,
-                      int bits, ThreadPool* pool, std::vector<uint64_t>* keys,
-                      uint64_t* out_min, uint64_t* out_max) {
-  const int rows = r.Size();
-  keys->resize(static_cast<size_t>(rows));
-  const int k = static_cast<int>(pos.size());
-  const size_t arity = static_cast<size_t>(r.Arity());
-  const int nm = MorselCount(rows);
-  std::vector<uint64_t> mns(static_cast<size_t>(nm), ~uint64_t{0});
-  std::vector<uint64_t> mxs(static_cast<size_t>(nm), 0);
-  const kernels::Ops& ops = kernels::Active();
-  uint64_t* kb = keys->data();
-  ForEachMorsel(rows, pool, [&](int m, int lo, int hi) {
-    ops.PackKeys(kb + lo, MorselData(r, m), arity, pos.data(), k, bits,
-                 hi - lo, &mns[m], &mxs[m]);
-  });
-  uint64_t mn = ~uint64_t{0};
-  uint64_t mx = 0;
-  for (int m = 0; m < nm; ++m) {
-    mn = std::min(mn, mns[m]);
-    mx = std::max(mx, mxs[m]);
+// ---------------------------------------------------------------------------
+// Key codes. Every operator turns its k key columns into one uint64_t
+// code per row, and PlanKeyCodes alone picks how:
+//   packed    non-negative values with k * bits <= 64: the values side
+//             by side, `bits` bits each, first column on top (the
+//             kernels::Ops PackKeys kernel).
+//   k = 0     no key column (a cross product, a projection onto no
+//             variable): packing zero columns codes every row 0.
+//   numbered  anything else (negative or wide values): a KeyNumbering
+//             numbers the build side's distinct key tuples in
+//             first-occurrence order, and a probe row looks its tuple up.
+// Everything downstream — dense and hash tables, zone maps, grace
+// partitions, spills — runs on the codes alone.
+// ---------------------------------------------------------------------------
+
+// A numbered probe's code for a key tuple the build side lacks: above
+// every number, so zone maps and range checks skip the row.
+constexpr uint64_t kAbsentCode = ~uint64_t{0};
+
+// Numbers distinct key tuples 0, 1, 2, ... in first-occurrence order.
+// Open addressing over HashRowKey row hashes; slots hold numbers, and
+// the numbered tuples sit contiguously (k values each), so a numbered
+// projection's output is the table's tuple store. Sized once for its
+// worst case at the 0.5 load factor; it never grows. Find is const, so
+// morsels may probe one table concurrently.
+class KeyNumbering {
+ public:
+  KeyNumbering() = default;
+  // Room for up to `rows` distinct tuples of k >= 1 columns.
+  KeyNumbering(int k, long rows) : k_(k) {
+    slots_.assign(NextPow2AtLeast(static_cast<size_t>(rows) * 2), -1);
+    mask_ = slots_.size() - 1;
+    tuples_.reserve(static_cast<size_t>(rows) * k);
   }
-  *out_min = mn;
-  *out_max = mx;
+
+  // Number of the tuple row[pos[0, k)], numbering it when it is new.
+  uint64_t Insert(const int* row, const int* pos, long* collisions) {
+    const size_t slot = Slot(row, pos, collisions);
+    if (slots_[slot] == -1) {
+      // Load-factor contract: probes stay O(1), and terminate, only while
+      // at most half the slots are taken.
+      HT_CHECK_LE((static_cast<size_t>(size_) + 1) * 2, slots_.size())
+          << "key numbering exceeds its 0.5 load factor";
+      slots_[slot] = size_++;
+      for (int i = 0; i < k_; ++i) tuples_.push_back(row[pos[i]]);
+    }
+    return static_cast<uint64_t>(slots_[slot]);
+  }
+
+  // Number of the tuple row[pos[0, k)], or kAbsentCode.
+  uint64_t Find(const int* row, const int* pos, long* collisions) const {
+    const int32_t n = slots_[Slot(row, pos, collisions)];
+    return n == -1 ? kAbsentCode : static_cast<uint64_t>(n);
+  }
+
+  int size() const { return size_; }
+  size_t bytes() const {
+    return slots_.capacity() * sizeof(int32_t) +
+           tuples_.capacity() * sizeof(int);
+  }
+  // The numbered tuples, k values each, in number order.
+  std::vector<int> TakeTuples() { return std::move(tuples_); }
+
+ private:
+  // The slot holding the tuple, or the empty slot it would take.
+  size_t Slot(const int* row, const int* pos, long* collisions) const {
+    size_t slot = HashRowKey(row, pos, k_) & mask_;
+    while (slots_[slot] != -1) {
+      const int* t = tuples_.data() + static_cast<size_t>(slots_[slot]) * k_;
+      int i = 0;
+      while (i < k_ && t[i] == row[pos[i]]) ++i;
+      if (i == k_) break;
+      ++*collisions;
+      slot = (slot + 1) & mask_;
+    }
+    return slot;
+  }
+
+  int k_ = 0;
+  size_t mask_ = 0;
+  int32_t size_ = 0;
+  std::vector<int32_t> slots_;  // number per slot, -1 empty
+  std::vector<int> tuples_;
+};
+
+// One operator's key encoding, and the codes of its build side.
+struct KeyCodes {
+  int k = 0;
+  int bits = 0;  // packed: bits per value (0 when k = 0)
+  bool numbered = false;
+  KeyNumbering numbering;       // numbered: the build side's key tuples
+  std::vector<uint64_t> build;  // one code per build row
+  uint64_t bmin = ~uint64_t{0};  // range of the build codes
+  uint64_t bmax = 0;
+
+  // Codes of the n rows at `rows` (`stride` values apart, key columns
+  // `pos`) into codes[0, n), their min / max into *mn / *mx (an empty
+  // block yields ~0 / 0). Returns the numbering's probe collisions.
+  long Encode(const int* rows, size_t stride, const int* pos, int n,
+              uint64_t* codes, uint64_t* mn, uint64_t* mx) const {
+    if (!numbered) {
+      kernels::Active().PackKeys(codes, rows, stride, pos, k, bits, n, mn,
+                                 mx);
+      return 0;
+    }
+    long collisions = 0;
+    uint64_t lo = ~uint64_t{0};
+    uint64_t hi = 0;
+    for (int r = 0; r < n; ++r) {
+      const uint64_t c =
+          numbering.Find(rows + static_cast<size_t>(r) * stride, pos,
+                         &collisions);
+      codes[r] = c;
+      lo = std::min(lo, c);
+      hi = std::max(hi, c);
+    }
+    *mn = lo;
+    *mx = hi;
+    return collisions;
+  }
+};
+
+// Chooses the key encoding of an operator with k key columns from the
+// values of probe side `a` and build side `b` (nullptr for a projection,
+// which has no build side), and codes the build rows at key columns
+// `pb`: packed ones morsel-parallel over `pool` (each morsel writes a
+// disjoint code range), numbered ones in row order, which fixes each
+// tuple's number.
+KeyCodes PlanKeyCodes(const ChunkSource& a, size_t k, const Relation* b,
+                      const std::vector<int>& pb, ThreadPool* pool) {
+  KeyCodes kc;
+  kc.k = static_cast<int>(k);
+  if (k > 0) {
+    kc.bits = PlanBits(k, ScanSource(a),
+                       b != nullptr
+                           ? ScanValues(b->data().data(), b->data().size())
+                           : ValueRange{});
+    kc.numbered = kc.bits == 0;
+  }
+  if (b == nullptr) return kc;
+  const int rows = b->Size();
+  kc.build.resize(static_cast<size_t>(rows));
+  uint64_t* codes = kc.build.data();
+  if (kc.numbered) {
+    kc.numbering = KeyNumbering(kc.k, rows);
+    long collisions = 0;
+    for (int r = 0; r < rows; ++r) {
+      codes[r] = kc.numbering.Insert(b->Row(r), pb.data(), &collisions);
+    }
+    if (collisions > 0) ProbeCollisions().Add(collisions);
+    BytesAllocated().Add(static_cast<long>(kc.numbering.bytes()));
+  } else {
+    const size_t arity = static_cast<size_t>(b->Arity());
+    ForEachMorsel(rows, pool, [&](int m, int lo, int hi) {
+      uint64_t mn = 0;
+      uint64_t mx = 0;
+      kc.Encode(MorselData(*b, m), arity, pb.data(), hi - lo, codes + lo,
+                &mn, &mx);
+    });
+  }
+  for (int r = 0; r < rows; ++r) {
+    kc.bmin = std::min(kc.bmin, codes[r]);
+    kc.bmax = std::max(kc.bmax, codes[r]);
+  }
+  return kc;
 }
 
-Relation Materialize(const ChunkSource& a) {
-  Relation out(a.schema());
-  out.Reserve(static_cast<int>(a.rows()));
-  std::vector<int> scratch;
-  const int arity = a.arity();
-  for (int i = 0; i < a.nchunks(); ++i) {
-    const int rows = a.chunk_rows(i);
-    const int* data = a.load(i, &scratch);
-    for (int r = 0; r < rows; ++r) {
-      out.AddRow(data + static_cast<size_t>(r) * arity);
-    }
+// Codes the n rows at `data` into (*codes)[0, n) and applies the zone
+// map: false, counting a skipped morsel, when their code range misses
+// the build codes' [bmin, bmax]; true, counting a processed one,
+// otherwise. Adds the numbering's probe collisions to *collisions.
+bool EncodeMorsel(const KeyCodes& kc, const int* data, size_t stride,
+                  const int* pos, int n, std::vector<uint64_t>* codes,
+                  long* collisions) {
+  codes->resize(static_cast<size_t>(n));
+  uint64_t mn = 0;
+  uint64_t mx = 0;
+  *collisions += kc.Encode(data, stride, pos, n, codes->data(), &mn, &mx);
+  if (mn > kc.bmax || mx < kc.bmin) {
+    MorselsSkipped().Increment();
+    return false;
   }
-  return out;
+  MorselsProcessed().Increment();
+  return true;
 }
 
 // Per-morsel probe scratch (local to one ParallelFor iteration).
@@ -209,115 +349,139 @@ struct ChunkBufs {
 };
 
 // ---------------------------------------------------------------------------
-// Join: build table over the build side's packed keys — dense
-// (direct-indexed head/count arrays over the key span) or hash (open
-// addressing over distinct keys, ProbeKeys kernel) — with ascending
-// per-key row chains via reverse insertion, exactly the pre-engine
-// output-order contract (probe row order, build ties ascending).
+// Key groups: one group per distinct build code, found dense (direct
+// indexing over the code span) or hash (open addressing over distinct
+// codes, ProbeKeys kernel). A join hangs ascending per-group row chains
+// off them; weighted counting, per-group weight sums.
 // ---------------------------------------------------------------------------
 
-struct JoinTable {
-  int k = 0;
-  int bits = 0;
+// A code's group is code - bmin (dense: every code in the span has one)
+// or its insertion ordinal (hash).
+struct KeyGroups {
   uint64_t bmin = ~uint64_t{0};
   uint64_t bmax = 0;
   bool dense = false;
-  std::vector<int32_t> next;  // ascending per-key chains
-  std::vector<int32_t> dense_head;
-  std::vector<int32_t> dense_cnt;
-  std::vector<uint64_t> slot_keys;
-  std::vector<int32_t> slot_vals;  // distinct-key ordinal, -1 empty
-  std::vector<int32_t> first;      // first row per distinct key
-  std::vector<int32_t> cnt;        // rows per distinct key
+  std::vector<uint64_t> slot_keys;  // hash: code per slot
+  std::vector<int32_t> slot_vals;   // hash: group per slot, -1 empty
   uint64_t mask = 0;
 };
 
-JoinTable BuildJoinTable(const Relation& b, const std::vector<int>& pb,
-                         int bits, ThreadPool* pool) {
-  JoinTable t;
-  t.k = static_cast<int>(pb.size());
-  t.bits = bits;
-  const int rows = b.Size();
-  std::vector<uint64_t> keys;
-  PackRelationKeys(b, pb, bits, pool, &keys, &t.bmin, &t.bmax);
-  const uint64_t span = t.bmax - t.bmin;
-  t.next.assign(static_cast<size_t>(rows), -1);
-  t.dense = span <= kJoinDenseSpanMax;
-  if (t.dense) {
-    t.dense_head.assign(static_cast<size_t>(span) + 1, -1);
-    t.dense_cnt.assign(static_cast<size_t>(span) + 1, 0);
+// Number of dense groups of kc's build codes, bmax - bmin + 1, or 0 when
+// that span exceeds kJoinDenseSpanMax and the codes go hash.
+size_t DenseGroupCount(const KeyCodes& kc) {
+  const uint64_t span = kc.bmax - kc.bmin;
+  return span <= kJoinDenseSpanMax ? static_cast<size_t>(span) + 1 : 0;
+}
+
+// Groups kc's build codes and calls add(r, g) for every build row r, last
+// row first, with its group g. Dense groups (DenseGroupCount of them)
+// exist up front; hash groups are numbered 0, 1, ... as add first sees
+// them. Visiting rows in reverse lets a join prepend each row to its
+// group's chain, so chains list rows in ascending order.
+template <typename Add>
+KeyGroups GroupBuildCodes(const KeyCodes& kc, const Add& add) {
+  KeyGroups g;
+  g.bmin = kc.bmin;
+  g.bmax = kc.bmax;
+  g.dense = DenseGroupCount(kc) > 0;
+  const std::vector<uint64_t>& keys = kc.build;
+  const int rows = static_cast<int>(keys.size());
+  if (g.dense) {
     for (int r = rows - 1; r >= 0; --r) {
-      const size_t idx = static_cast<size_t>(keys[r] - t.bmin);
-      t.next[r] = t.dense_head[idx];
-      t.dense_head[idx] = r;
-      ++t.dense_cnt[idx];
+      add(r, static_cast<int32_t>(keys[r] - g.bmin));
     }
-  } else {
-    const size_t cap = NextPow2AtLeast(static_cast<size_t>(rows) * 2);
-    t.mask = cap - 1;
-    t.slot_keys.assign(cap, 0);
-    t.slot_vals.assign(cap, -1);
-    for (int r = rows - 1; r >= 0; --r) {
-      const uint64_t key = keys[r];
-      size_t slot = kernels::SplitMix64(key) & t.mask;
-      while (t.slot_vals[slot] != -1 && t.slot_keys[slot] != key) {
-        slot = (slot + 1) & t.mask;
-      }
-      if (t.slot_vals[slot] == -1) {
-        t.slot_vals[slot] = static_cast<int32_t>(t.first.size());
-        t.slot_keys[slot] = key;
-        t.first.push_back(r);
-        t.cnt.push_back(1);
-      } else {
-        const int32_t ord = t.slot_vals[slot];
-        t.next[r] = t.first[ord];
-        t.first[ord] = r;
-        ++t.cnt[ord];
-      }
-    }
+    return g;
   }
+  const size_t cap = NextPow2AtLeast(static_cast<size_t>(rows) * 2);
+  g.mask = cap - 1;
+  g.slot_keys.assign(cap, 0);
+  g.slot_vals.assign(cap, -1);
+  int32_t groups = 0;
+  for (int r = rows - 1; r >= 0; --r) {
+    const uint64_t key = keys[r];
+    size_t slot = kernels::SplitMix64(key) & g.mask;
+    while (g.slot_vals[slot] != -1 && g.slot_keys[slot] != key) {
+      slot = (slot + 1) & g.mask;
+    }
+    if (g.slot_vals[slot] == -1) {
+      g.slot_vals[slot] = groups++;
+      g.slot_keys[slot] = key;
+    }
+    add(r, g.slot_vals[slot]);
+  }
+  return g;
+}
+
+// Group of each code in codes[0, n) into groups[0, n), -1 for a code no
+// build row has. Returns the hash probe's collisions.
+long ProbeGroups(const KeyGroups& g, const uint64_t* codes, int n,
+                 int32_t* groups) {
+  if (!g.dense) {
+    return kernels::Active().ProbeKeys(groups, codes, n, g.slot_keys.data(),
+                                       g.slot_vals.data(), g.mask);
+  }
+  for (int r = 0; r < n; ++r) {
+    const uint64_t key = codes[r];
+    groups[r] = key < g.bmin || key > g.bmax
+                    ? -1
+                    : static_cast<int32_t>(key - g.bmin);
+  }
+  return 0;
+}
+
+// ---------------------------------------------------------------------------
+// Join: ascending build-row chains per key group; output follows probe
+// row order, build ties ascending.
+// ---------------------------------------------------------------------------
+
+struct JoinTable {
+  KeyGroups groups;
+  std::vector<int32_t> next;  // ascending per-group chains
+  std::vector<int32_t> head;  // first build row per group, -1 none
+  std::vector<int32_t> cnt;   // build rows per group
+};
+
+JoinTable BuildJoinTable(const KeyCodes& kc) {
+  JoinTable t;
+  t.next.assign(kc.build.size(), -1);
+  t.head.assign(DenseGroupCount(kc), -1);
+  t.cnt.assign(t.head.size(), 0);
+  t.groups = GroupBuildCodes(kc, [&t](int r, int32_t g) {
+    if (static_cast<size_t>(g) == t.head.size()) {  // a new hash group
+      t.head.push_back(-1);
+      t.cnt.push_back(0);
+    }
+    t.next[r] = t.head[g];
+    t.head[g] = r;
+    ++t.cnt[g];
+  });
   BytesAllocated().Add(static_cast<long>(
-      (t.next.capacity() + t.dense_head.capacity() + t.dense_cnt.capacity() +
-       t.slot_vals.capacity() + t.first.capacity() + t.cnt.capacity()) *
+      (t.next.capacity() + t.head.capacity() + t.cnt.capacity() +
+       t.groups.slot_vals.capacity()) *
           sizeof(int32_t) +
-      t.slot_keys.capacity() * sizeof(uint64_t)));
+      t.groups.slot_keys.capacity() * sizeof(uint64_t)));
   return t;
 }
 
-// Exact-size count for one probe chunk. Zone map: a morsel whose packed
-// key range misses [bmin, bmax] entirely is skipped without probing.
+// Exact-size count for one probe chunk. Zone map: a morsel whose code
+// range misses [bmin, bmax] entirely is skipped without probing.
+// Count-pass collisions are not charged to relation.probe_collisions:
+// the emit pass charges each probe once.
 long CountJoinChunk(const int* data, int rows, int arity, const int* pa,
-                    const JoinTable& t, ChunkBufs* bufs) {
+                    const KeyCodes& kc, const JoinTable& t,
+                    ChunkBufs* bufs) {
   if (rows == 0) return 0;
-  bufs->keys.resize(static_cast<size_t>(rows));
-  uint64_t mn = 0;
-  uint64_t mx = 0;
-  const kernels::Ops& ops = kernels::Active();
-  ops.PackKeys(bufs->keys.data(), data, static_cast<size_t>(arity), pa, t.k,
-               t.bits, rows, &mn, &mx);
-  if (mn > t.bmax || mx < t.bmin) {
-    MorselsSkipped().Increment();
+  long uncharged = 0;
+  if (!EncodeMorsel(kc, data, static_cast<size_t>(arity), pa, rows,
+                    &bufs->keys, &uncharged)) {
     return 0;
   }
-  MorselsProcessed().Increment();
+  bufs->vals.resize(static_cast<size_t>(rows));
+  ProbeGroups(t.groups, bufs->keys.data(), rows, bufs->vals.data());
   long total = 0;
-  if (t.dense) {
-    for (int r = 0; r < rows; ++r) {
-      const uint64_t key = bufs->keys[r];
-      if (key < t.bmin || key > t.bmax) continue;
-      total += t.dense_cnt[static_cast<size_t>(key - t.bmin)];
-    }
-  } else {
-    bufs->vals.resize(static_cast<size_t>(rows));
-    // Count-pass collisions are not charged to relation.probe_collisions
-    // (mirrors the pre-engine exact-size pre-pass, which counted probes
-    // only when emitting).
-    ops.ProbeKeys(bufs->vals.data(), bufs->keys.data(), rows,
-                  t.slot_keys.data(), t.slot_vals.data(), t.mask);
-    for (int r = 0; r < rows; ++r) {
-      const int32_t v = bufs->vals[r];
-      if (v >= 0) total += t.cnt[v];
-    }
+  for (int r = 0; r < rows; ++r) {
+    const int32_t g = bufs->vals[r];
+    if (g >= 0) total += t.cnt[g];
   }
   return total;
 }
@@ -326,44 +490,30 @@ long CountJoinChunk(const int* data, int rows, int arity, const int* pa,
 // columns). Returns the probe-collision count; *out_emitted gets the
 // emitted row count (must equal the chunk's count pre-pass).
 long EmitJoinChunk(const int* data, int rows, int arity, const int* pa,
-                   const JoinTable& t, const Relation& b,
+                   const KeyCodes& kc, const JoinTable& t, const Relation& b,
                    const std::vector<int>& extra, int* out,
                    long* out_emitted, ChunkBufs* bufs) {
   bufs->keys.resize(static_cast<size_t>(rows));
+  bufs->vals.resize(static_cast<size_t>(rows));
   uint64_t mn = 0;
   uint64_t mx = 0;
-  const kernels::Ops& ops = kernels::Active();
-  ops.PackKeys(bufs->keys.data(), data, static_cast<size_t>(arity), pa, t.k,
-               t.bits, rows, &mn, &mx);
+  long collisions = kc.Encode(data, static_cast<size_t>(arity), pa, rows,
+                              bufs->keys.data(), &mn, &mx);
+  collisions +=
+      ProbeGroups(t.groups, bufs->keys.data(), rows, bufs->vals.data());
   const size_t nextra = extra.size();
   const size_t out_arity = static_cast<size_t>(arity) + nextra;
   long emitted = 0;
-  long collisions = 0;
-  auto emit_chain = [&](const int* row, int u) {
-    for (; u != -1; u = t.next[u]) {
-      std::memcpy(out, row, static_cast<size_t>(arity) * sizeof(int));
+  for (int r = 0; r < rows; ++r) {
+    const int32_t g = bufs->vals[r];
+    if (g < 0) continue;
+    const int* row = data + static_cast<size_t>(r) * arity;
+    for (int32_t u = t.head[g]; u != -1; u = t.next[u]) {
+      std::copy(row, row + arity, out);  // arity 0: row may be null
       const int* urow = b.Row(u);
       for (size_t j = 0; j < nextra; ++j) out[arity + j] = urow[extra[j]];
       out += out_arity;
       ++emitted;
-    }
-  };
-  if (t.dense) {
-    for (int r = 0; r < rows; ++r) {
-      const uint64_t key = bufs->keys[r];
-      if (key < t.bmin || key > t.bmax) continue;
-      emit_chain(data + static_cast<size_t>(r) * arity,
-                 t.dense_head[static_cast<size_t>(key - t.bmin)]);
-    }
-  } else {
-    bufs->vals.resize(static_cast<size_t>(rows));
-    collisions =
-        ops.ProbeKeys(bufs->vals.data(), bufs->keys.data(), rows,
-                      t.slot_keys.data(), t.slot_vals.data(), t.mask);
-    for (int r = 0; r < rows; ++r) {
-      const int32_t v = bufs->vals[r];
-      if (v < 0) continue;
-      emit_chain(data + static_cast<size_t>(r) * arity, t.first[v]);
     }
   }
   *out_emitted = emitted;
@@ -387,18 +537,8 @@ ChunkedRelation JoinImpl(const ChunkSource& a, const Relation& b,
   if (a.rows() == 0 || b.Empty()) {
     return ChunkedRelation(Relation(std::move(out_schema)));
   }
-  const int bits = PlanBits(pa.size(), ScanSource(a),
-                            ScanValues(b.data().data(), b.data().size()));
-  if (bits == 0) {
-    // Generic fallback: the pre-engine row-hash join.
-    if (a.rel != nullptr) {
-      return ChunkedRelation(RelationInternal::JoinGeneric(*a.rel, b));
-    }
-    Relation ra = Materialize(a);
-    return ChunkedRelation(RelationInternal::JoinGeneric(ra, b));
-  }
-
-  const JoinTable t = BuildJoinTable(b, pb, bits, pool);
+  const KeyCodes kc = PlanKeyCodes(a, pa.size(), &b, pb, pool);
+  const JoinTable t = BuildJoinTable(kc);
   const int nchunks = a.nchunks();
   const int arity = a.arity();
   std::vector<long> counts(static_cast<size_t>(nchunks), 0);
@@ -406,7 +546,7 @@ ChunkedRelation JoinImpl(const ChunkSource& a, const Relation& b,
     ChunkBufs bufs;
     std::vector<int> scratch;
     counts[i] = CountJoinChunk(a.load(i, &scratch), a.chunk_rows(i), arity,
-                               pa.data(), t, &bufs);
+                               pa.data(), kc, t, &bufs);
   });
   std::vector<long> offs(static_cast<size_t>(nchunks) + 1, 0);
   for (int i = 0; i < nchunks; ++i) offs[i + 1] = offs[i] + counts[i];
@@ -441,7 +581,8 @@ ChunkedRelation JoinImpl(const ChunkSource& a, const Relation& b,
       long emitted = 0;
       const long c =
           EmitJoinChunk(a.load(i, &scratch), a.chunk_rows(i), arity,
-                        pa.data(), t, b, extra, buf.data(), &emitted, &bufs);
+                        pa.data(), kc, t, b, extra, buf.data(), &emitted,
+                        &bufs);
       collisions.fetch_add(c, std::memory_order_relaxed);
       HT_CHECK_EQ(emitted, counts[i])
           << "join emitted a different row count than its exact-size "
@@ -476,9 +617,9 @@ ChunkedRelation JoinImpl(const ChunkSource& a, const Relation& b,
     std::vector<int> scratch;
     long emitted = 0;
     const long c = EmitJoinChunk(
-        a.load(i, &scratch), a.chunk_rows(i), arity, pa.data(), t, b, extra,
-        data.data() + static_cast<size_t>(offs[i]) * out_arity, &emitted,
-        &bufs);
+        a.load(i, &scratch), a.chunk_rows(i), arity, pa.data(), kc, t, b,
+        extra, data.data() + static_cast<size_t>(offs[i]) * out_arity,
+        &emitted, &bufs);
     collisions.fetch_add(c, std::memory_order_relaxed);
     HT_CHECK_EQ(emitted, counts[i])
         << "join emitted a different row count than its exact-size pre-pass";
@@ -495,21 +636,18 @@ ChunkedRelation JoinImpl(const ChunkSource& a, const Relation& b,
 // Semijoin.
 // ---------------------------------------------------------------------------
 
-// Build side of a packed semijoin: the packed-key range [bmin, bmax]
-// that every left morsel's zone map is checked against, plus either a
-// bitmap over that range (dense) or an open-addressed set of the
-// distinct keys (hash).
+// Build side of a semijoin over the build codes' range [bmin, bmax]:
+// either a bitmap over that range (dense) or an open-addressed set of
+// the distinct codes (hash).
 struct SemiTable {
-  uint64_t bmin = ~uint64_t{0};
-  uint64_t bmax = 0;
   bool dense = false;
-  std::vector<uint64_t> bitmap;     // dense: bit (key - bmin)
+  std::vector<uint64_t> bitmap;     // dense: bit (code - bmin)
   std::vector<uint64_t> slot_keys;  // hash
   std::vector<int32_t> slot_vals;   // hash: 1 occupied, -1 empty
   uint64_t mask = 0;
 };
 
-// Fills t's hash set with the distinct keys among keys[0, n).
+// Fills t's hash set with the distinct codes among keys[0, n).
 void BuildKeySet(const uint64_t* keys, size_t n, SemiTable* t) {
   const size_t cap = NextPow2AtLeast(n * 2);
   t->mask = cap - 1;
@@ -528,66 +666,46 @@ void BuildKeySet(const uint64_t* keys, size_t n, SemiTable* t) {
   }
 }
 
-// Packs the n rows of morsel m of `left` into keys[0, n) and applies the
-// zone map: returns false (counting a skipped morsel) when the morsel's
-// packed-key range misses [bmin, bmax], else counts a processed one.
-bool PackSemijoinMorsel(const Relation& left, const std::vector<int>& pa,
-                        int bits, int m, int n, uint64_t bmin, uint64_t bmax,
-                        std::vector<uint64_t>* keys) {
-  keys->resize(static_cast<size_t>(n));
-  uint64_t mn = 0;
-  uint64_t mx = 0;
-  kernels::Active().PackKeys(keys->data(), MorselData(left, m),
-                             static_cast<size_t>(left.Arity()), pa.data(),
-                             static_cast<int>(pa.size()), bits, n, &mn, &mx);
-  if (mn > bmax || mx < bmin) {
-    MorselsSkipped().Increment();
-    return false;
-  }
-  MorselsProcessed().Increment();
-  return true;
-}
-
-// The semijoin probe loop, one morsel of `left` per work item: pack the
-// morsel's keys, skip it when its zone map misses [t.bmin, t.bmax], and
-// set keep[r] for every row whose key is in t. Returns the probe
+// The semijoin probe loop, one morsel of `left` per work item: code the
+// morsel's keys, skip it when its zone map misses [kc.bmin, kc.bmax],
+// and set keep[r] for every row whose code is in t. Returns the probe
 // collisions.
 long ProbeSemijoin(const Relation& left, const std::vector<int>& pa,
-                   int bits, const SemiTable& t, ThreadPool* pool,
+                   const KeyCodes& kc, const SemiTable& t, ThreadPool* pool,
                    uint8_t* keep) {
   const kernels::Ops& ops = kernels::Active();
+  const size_t arity = static_cast<size_t>(left.Arity());
   std::atomic<long> collisions{0};
   ForEachMorsel(left.Size(), pool, [&](int m, int lo, int hi) {
     const int n = hi - lo;
     ChunkBufs bufs;
-    if (!PackSemijoinMorsel(left, pa, bits, m, n, t.bmin, t.bmax,
-                            &bufs.keys)) {
-      return;
-    }
-    if (t.dense) {
-      for (int r = 0; r < n; ++r) {
-        const uint64_t key = bufs.keys[r];
-        if (key < t.bmin || key > t.bmax) continue;
-        const uint64_t idx = key - t.bmin;
-        if ((t.bitmap[idx >> 6] >> (idx & 63)) & 1) keep[lo + r] = 1;
+    long c = 0;
+    if (EncodeMorsel(kc, MorselData(left, m), arity, pa.data(), n,
+                     &bufs.keys, &c)) {
+      if (t.dense) {
+        for (int r = 0; r < n; ++r) {
+          const uint64_t key = bufs.keys[r];
+          if (key < kc.bmin || key > kc.bmax) continue;
+          const uint64_t idx = key - kc.bmin;
+          if ((t.bitmap[idx >> 6] >> (idx & 63)) & 1) keep[lo + r] = 1;
+        }
+      } else {
+        bufs.vals.resize(static_cast<size_t>(n));
+        c += ops.ProbeKeys(bufs.vals.data(), bufs.keys.data(), n,
+                           t.slot_keys.data(), t.slot_vals.data(), t.mask);
+        for (int r = 0; r < n; ++r) {
+          if (bufs.vals[r] >= 0) keep[lo + r] = 1;
+        }
       }
-      return;
     }
-    bufs.vals.resize(static_cast<size_t>(n));
-    const long c =
-        ops.ProbeKeys(bufs.vals.data(), bufs.keys.data(), n,
-                      t.slot_keys.data(), t.slot_vals.data(), t.mask);
     collisions.fetch_add(c, std::memory_order_relaxed);
-    for (int r = 0; r < n; ++r) {
-      if (bufs.vals[r] >= 0) keep[lo + r] = 1;
-    }
   });
   return collisions.load(std::memory_order_relaxed);
 }
 
 // One grace partition of a partitioned semijoin: its staging buffer and
-// the runs it flushed to the spill file. A build run is `n` packed keys;
-// a probe run is `n` packed keys followed by their `n` left row indices.
+// the runs it flushed to the spill file. A build run is `n` codes; a
+// probe run is `n` codes followed by their `n` left row indices.
 struct GracePartition {
   struct Run {
     long long off = 0;
@@ -599,7 +717,7 @@ struct GracePartition {
   std::vector<Run> probe;
 };
 
-// Reads `runs` back in order: their keys into *keys and, for probe runs
+// Reads `runs` back in order: their codes into *keys and, for probe runs
 // (rows != nullptr), their left row indices into *rows.
 void ReadRuns(const SpillFile& file,
               const std::vector<GracePartition::Run>& runs,
@@ -619,18 +737,17 @@ void ReadRuns(const SpillFile& file,
 }
 
 // Grace (radix) partitioned semijoin: both sides are split to a spill
-// file by the top SplitMix64 bits of the packed key — first the build
-// keys in packed order (which fixes each partition table's slot layout),
-// then, from each left morsel packed once under the zone map, every
-// in-range row as a (packed key, row index) pair. Each partition then
-// runs as one work item: a key set over its build keys and one probe
-// over its pairs. A left row lands in exactly one partition, so
-// concurrent partitions set disjoint keep[] entries. Returns the probe
-// collisions.
+// file by the top SplitMix64 bits of the code — first the build codes
+// in build row order (which fixes each partition table's slot layout),
+// then, from each left morsel coded once under the zone map, every
+// in-range row as a (code, row index) pair. Each partition then runs as
+// one work item: a key set over its build codes and one probe over its
+// pairs. A left row lands in exactly one partition, so concurrent
+// partitions set disjoint keep[] entries. Returns the probe collisions.
 long PartitionedSemijoin(const Relation& left, const std::vector<int>& pa,
-                         int bits, const std::vector<uint64_t>& rkeys,
-                         uint64_t bmin, uint64_t bmax, long long budget,
+                         const KeyCodes& kc, long long budget,
                          ThreadPool* pool, uint8_t* keep) {
+  const std::vector<uint64_t>& rkeys = kc.build;
   const size_t full_cap = NextPow2AtLeast(rkeys.size() * 2);
   const long long table_bytes = static_cast<long long>(full_cap) * 12;
   int parts = 2;
@@ -673,14 +790,17 @@ long PartitionedSemijoin(const Relation& left, const std::vector<int>& pa,
   for (GracePartition& p : part) flush(p, &p.build);
 
   long staged = 0;
+  long collisions = 0;
+  const size_t arity = static_cast<size_t>(left.Arity());
   std::vector<uint64_t> keys;
   ForEachMorsel(left.Size(), /*pool=*/nullptr, [&](int m, int lo, int hi) {
-    if (!PackSemijoinMorsel(left, pa, bits, m, hi - lo, bmin, bmax, &keys)) {
+    if (!EncodeMorsel(kc, MorselData(left, m), arity, pa.data(), hi - lo,
+                      &keys, &collisions)) {
       return;
     }
     for (int r = 0; r < hi - lo; ++r) {
       const uint64_t key = keys[r];
-      if (key < bmin || key > bmax) continue;
+      if (key < kc.bmin || key > kc.bmax) continue;
       GracePartition& p = partition_of(key);
       p.keys.push_back(key);
       p.rows.push_back(lo + r);
@@ -695,7 +815,7 @@ long PartitionedSemijoin(const Relation& left, const std::vector<int>& pa,
       static_cast<size_t>(staged) * (sizeof(uint64_t) + sizeof(int32_t))));
 
   const kernels::Ops& ops = kernels::Active();
-  std::atomic<long> collisions{0};
+  std::atomic<long> probe_collisions{0};
   ParallelFor(parts, pool, [&](int i) {
     const GracePartition& p = part[static_cast<size_t>(i)];
     if (p.build.empty() || p.probe.empty()) return;
@@ -710,27 +830,28 @@ long PartitionedSemijoin(const Relation& left, const std::vector<int>& pa,
                                  static_cast<int>(pkeys.size()),
                                  t.slot_keys.data(), t.slot_vals.data(),
                                  t.mask);
-    collisions.fetch_add(c, std::memory_order_relaxed);
+    probe_collisions.fetch_add(c, std::memory_order_relaxed);
     for (size_t j = 0; j < vals.size(); ++j) {
       if (vals[j] >= 0) keep[prows[j]] = 1;
     }
   });
-  return collisions.load(std::memory_order_relaxed);
+  return collisions + probe_collisions.load(std::memory_order_relaxed);
 }
 
-void PackedSemijoin(Relation* left, const Relation& right,
-                    const std::vector<int>& pa, const std::vector<int>& pb,
-                    int bits, ThreadPool* pool) {
+// left ⋉ right over non-empty sides.
+void SemijoinImpl(Relation* left, const Relation& right,
+                  const std::vector<int>& pa, const std::vector<int>& pb,
+                  ThreadPool* pool) {
   RelationInternal::DropIndex(*left);
   const int rows_l = left->Size();
   const int arity = left->Arity();
-  std::vector<uint64_t> rkeys;
-  SemiTable build;
-  PackRelationKeys(right, pb, bits, pool, &rkeys, &build.bmin, &build.bmax);
-  const uint64_t span = build.bmax - build.bmin;
+  const KeyCodes kc =
+      PlanKeyCodes(ChunkSource(*left), pa.size(), &right, pb, pool);
+  const uint64_t span = kc.bmax - kc.bmin;
   const long long budget = MemoryBudget();
   const long long dense_bytes =
       static_cast<long long>(span / 64 + 1) * sizeof(uint64_t);
+  SemiTable build;
   build.dense =
       span <= kSemiDenseSpanMax && (budget == 0 || dense_bytes <= budget);
   std::vector<uint8_t> keep(static_cast<size_t>(rows_l), 0);
@@ -738,29 +859,29 @@ void PackedSemijoin(Relation* left, const Relation& right,
 
   if (build.dense) {
     build.bitmap.assign(static_cast<size_t>(span / 64 + 1), 0);
-    for (const uint64_t key : rkeys) {
-      const uint64_t idx = key - build.bmin;
+    for (const uint64_t key : kc.build) {
+      const uint64_t idx = key - kc.bmin;
       build.bitmap[idx >> 6] |= uint64_t{1} << (idx & 63);
     }
     BytesAllocated().Add(
         static_cast<long>(build.bitmap.capacity() * sizeof(uint64_t)));
-    collisions = ProbeSemijoin(*left, pa, bits, build, pool, keep.data());
+    collisions = ProbeSemijoin(*left, pa, kc, build, pool, keep.data());
   } else {
-    const size_t cap = NextPow2AtLeast(rkeys.size() * 2);
+    const size_t cap = NextPow2AtLeast(kc.build.size() * 2);
     const long long hash_bytes = static_cast<long long>(cap) * 12;
     if (budget > 0 && hash_bytes > budget) {
-      collisions = PartitionedSemijoin(*left, pa, bits, rkeys, build.bmin,
-                                       build.bmax, budget, pool, keep.data());
+      collisions =
+          PartitionedSemijoin(*left, pa, kc, budget, pool, keep.data());
     } else {
-      BuildKeySet(rkeys.data(), rkeys.size(), &build);
+      BuildKeySet(kc.build.data(), kc.build.size(), &build);
       BytesAllocated().Add(static_cast<long>(
           build.slot_keys.capacity() * sizeof(uint64_t) +
           build.slot_vals.capacity() * sizeof(int32_t)));
-      collisions = ProbeSemijoin(*left, pa, bits, build, pool, keep.data());
+      collisions = ProbeSemijoin(*left, pa, kc, build, pool, keep.data());
     }
   }
 
-  // In-order swap compaction (row order preserved), as before.
+  // In-order swap compaction (row order preserved).
   std::vector<int>& data = RelationInternal::Data(*left);
   int write = 0;
   for (int t = 0; t < rows_l; ++t) {
@@ -785,6 +906,35 @@ void PackedSemijoin(Relation* left, const Relation& right,
 // Project.
 // ---------------------------------------------------------------------------
 
+// A numbered projection: the numbering built over the input, streamed
+// chunk by chunk, holds the distinct tuples in first-occurrence order,
+// which is the output.
+Relation ProjectNumbered(const ChunkSource& a,
+                         const std::vector<int>& positions,
+                         const std::vector<int>& vars) {
+  KeyNumbering numbering(static_cast<int>(positions.size()),
+                         std::min<long>(a.rows(), INT32_MAX / 2));
+  const size_t arity = static_cast<size_t>(a.arity());
+  long collisions = 0;
+  std::vector<int> scratch;
+  for (int i = 0; i < a.nchunks(); ++i) {
+    const int n = a.chunk_rows(i);
+    const int* data = a.load(i, &scratch);
+    for (int r = 0; r < n; ++r) {
+      numbering.Insert(data + static_cast<size_t>(r) * arity,
+                       positions.data(), &collisions);
+    }
+    MorselsProcessed().Increment();
+  }
+  if (collisions > 0) ProbeCollisions().Add(collisions);
+  BytesAllocated().Add(static_cast<long>(numbering.bytes()));
+  Relation out(vars);
+  RelationInternal::Rows(out) = numbering.size();
+  RelationInternal::Data(out) = numbering.TakeTuples();
+  RelationInternal::CheckRep(out);
+  return out;
+}
+
 Relation ProjectImpl(const ChunkSource& a, const std::vector<int>& vars,
                      ThreadPool* pool) {
   const std::vector<int>& sa = a.schema();
@@ -798,15 +948,11 @@ Relation ProjectImpl(const ChunkSource& a, const std::vector<int>& vars,
   const int k = static_cast<int>(positions.size());
   const long rows = a.rows();
   if (rows == 0) return Relation(vars);
-  const int bits = PlanBits(positions.size(), ScanSource(a), ValueRange{});
-  if (bits == 0) {
-    if (a.rel != nullptr) {
-      return RelationInternal::ProjectGeneric(*a.rel, vars);
-    }
-    Relation ra = Materialize(a);
-    return RelationInternal::ProjectGeneric(ra, vars);
-  }
+  const KeyCodes kc = PlanKeyCodes(a, positions.size(), nullptr, {}, pool);
+  if (kc.numbered) return ProjectNumbered(a, positions, vars);
 
+  // Packed (k = 0 included: one code, so one empty output row).
+  const int bits = kc.bits;
   Relation out(vars);
   std::vector<int>& out_data = RelationInternal::Data(out);
   int& out_rows = RelationInternal::Rows(out);
@@ -838,7 +984,6 @@ Relation ProjectImpl(const ChunkSource& a, const std::vector<int>& vars,
 
   const int nchunks = a.nchunks();
   const int arity = a.arity();
-  const kernels::Ops& ops = kernels::Active();
   const long long budget = MemoryBudget();
   // Pre-packing every chunk in parallel keeps the pool busy but holds
   // 8 bytes per input row; stream chunk-by-chunk when the budget (or a
@@ -858,9 +1003,8 @@ Relation ProjectImpl(const ChunkSource& a, const std::vector<int>& vars,
       chunk_keys[i].resize(static_cast<size_t>(n));
       uint64_t mn = 0;
       uint64_t mx = 0;
-      ops.PackKeys(chunk_keys[i].data(), a.load(i, &scratch),
-                   static_cast<size_t>(arity), positions.data(), k, bits, n,
-                   &mn, &mx);
+      kc.Encode(a.load(i, &scratch), static_cast<size_t>(arity),
+                positions.data(), n, chunk_keys[i].data(), &mn, &mx);
     });
   }
 
@@ -877,9 +1021,8 @@ Relation ProjectImpl(const ChunkSource& a, const std::vector<int>& vars,
       keybuf.resize(static_cast<size_t>(n));
       uint64_t mn = 0;
       uint64_t mx = 0;
-      ops.PackKeys(keybuf.data(), a.load(i, &scratch),
-                   static_cast<size_t>(arity), positions.data(), k, bits, n,
-                   &mn, &mx);
+      kc.Encode(a.load(i, &scratch), static_cast<size_t>(arity),
+                positions.data(), n, keybuf.data(), &mn, &mx);
       keys = keybuf.data();
     }
     MorselsProcessed().Increment();
@@ -940,22 +1083,68 @@ ChunkedRelation EngineJoinChunked(const ChunkedRelation& a, const Relation& b,
 void EngineSemijoinInPlace(Relation* left, const Relation& right,
                            ThreadPool* pool) {
   HT_CHECK(left != &right) << "SemijoinInPlace must not alias its argument";
+  if (left->Empty()) return;
+  if (right.Empty()) {
+    RowsSemijoinDropped().Add(left->Size());
+    RelationInternal::Data(*left).clear();
+    RelationInternal::Rows(*left) = 0;
+    RelationInternal::DropIndex(*left);
+    return;
+  }
   std::vector<int> pa;
   std::vector<int> pb;
   SharedPositions(left->schema(), right.schema(), &pa, &pb);
-  if (!pa.empty() && left->Size() > 0 && right.Size() > 0) {
-    const int bits = PlanBits(
-        pa.size(),
-        ScanValues(left->data().data(), left->data().size()),
-        ScanValues(right.data().data(), right.data().size()));
-    if (bits > 0) {
-      PackedSemijoin(left, right, pa, pb, bits, pool);
-      return;
-    }
+  SemijoinImpl(left, right, pa, pb, pool);
+}
+
+void EngineWeightedSemijoin(const Relation& left,
+                            std::vector<long long>* left_weights,
+                            const Relation& right,
+                            const std::vector<long long>& right_weights,
+                            ThreadPool* pool) {
+  HT_CHECK_EQ(left_weights->size(), static_cast<size_t>(left.Size()));
+  HT_CHECK_EQ(right_weights.size(), static_cast<size_t>(right.Size()));
+  long long* w = left_weights->data();
+  if (right.Empty()) {
+    std::fill(w, w + left.Size(), 0);
+    return;
   }
-  // Generic fallback (also the empty / no-shared-variable edge cases,
-  // which it already handles with the documented counter semantics).
-  RelationInternal::SemijoinGeneric(*left, right);
+  if (left.Empty()) return;
+  std::vector<int> pa;
+  std::vector<int> pb;
+  SharedPositions(left.schema(), right.schema(), &pa, &pb);
+  const KeyCodes kc =
+      PlanKeyCodes(ChunkSource(left), pa.size(), &right, pb, pool);
+  // Summed weight of each key group's build rows.
+  std::vector<long long> sums(DenseGroupCount(kc), 0);
+  const KeyGroups groups =
+      GroupBuildCodes(kc, [&sums, &right_weights](int r, int32_t g) {
+        if (static_cast<size_t>(g) == sums.size()) sums.push_back(0);
+        sums[g] += right_weights[r];
+      });
+  // Each left row's weight is written by exactly one morsel, so the
+  // products are schedule-independent.
+  const size_t arity = static_cast<size_t>(left.Arity());
+  std::atomic<long> collisions{0};
+  ForEachMorsel(left.Size(), pool, [&](int m, int lo, int hi) {
+    const int n = hi - lo;
+    ChunkBufs bufs;
+    long c = 0;
+    if (!EncodeMorsel(kc, MorselData(left, m), arity, pa.data(), n,
+                      &bufs.keys, &c)) {
+      std::fill(w + lo, w + hi, 0);
+    } else {
+      bufs.vals.resize(static_cast<size_t>(n));
+      c += ProbeGroups(groups, bufs.keys.data(), n, bufs.vals.data());
+      for (int r = 0; r < n; ++r) {
+        const int32_t g = bufs.vals[r];
+        w[lo + r] *= g >= 0 ? sums[g] : 0;
+      }
+    }
+    collisions.fetch_add(c, std::memory_order_relaxed);
+  });
+  const long coll = collisions.load(std::memory_order_relaxed);
+  if (coll > 0) ProbeCollisions().Add(coll);
 }
 
 Relation EngineProject(const Relation& r, const std::vector<int>& vars,

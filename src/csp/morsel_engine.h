@@ -1,28 +1,35 @@
 // The morsel-driven relational engine behind Relation's join / semijoin /
-// project operators and the solver layers' pool-aware entry points.
+// project operators, weighted counting and the solver layers' pool-aware
+// entry points.
 //
 // Execution model: the probe side of every operator is cut into fixed
-// kMorselRows-row morsels (chunks); each morsel packs its key columns
-// into single words through the kernel dispatch table (kernels::Ops
-// PackKeys), carries min/max packed-key zone-map metadata, and is
-// processed as one work item on the caller's ThreadPool (ParallelFor —
-// nestable, so within-bag parallelism composes with the across-bag tree
-// schedules). Output concatenation is morsel-index-ordered, so results
-// are bit-identical for any thread count.
+// kMorselRows-row morsels (chunks); each morsel turns its key columns
+// into one uint64_t code per row, carries min/max code zone-map
+// metadata, and is processed as one work item on the caller's ThreadPool
+// (ParallelFor — nestable, so within-bag parallelism composes with the
+// across-bag tree schedules). Output concatenation is morsel-index-
+// ordered, so results are bit-identical for any thread count.
 //
-// Key-table modes, chosen per operator from the data:
-//   dense   packed-key span small: direct-indexed arrays (bitmap /
-//           head+count), no hashing at all — the dominant CSP-bag shape.
-//   hash    open-addressed table over distinct packed keys, probed via
+// Key codes, chosen per operator from the data by one function:
+//   packed    non-negative values with k * bits <= 64 packed into one
+//             word (kernels::Ops PackKeys) — the dominant CSP-bag shape;
+//   k = 0     no shared or projected variable: every code is 0, so a
+//             join is a cross product on the dense path, a semijoin keeps
+//             all rows or none and a projection keeps one empty row;
+//   numbered  anything else (negative values, > 64 bits): one row-keyed
+//             table numbers the build side's distinct key tuples in
+//             first-occurrence order; probe rows look theirs up.
+// Every operator then runs on the codes alone, in one of two table modes:
+//   dense   code span small: direct-indexed arrays (bitmap /
+//           head+count), no hashing at all.
+//   hash    open-addressed table over distinct codes, probed via
 //           kernels::Ops ProbeKeys (SIMD splitmix64).
-//   generic the pre-engine row-hash path (relation.cc), for keys that
-//           do not pack (negative values, > 64 bits total).
 //
 // Larger-than-core: when the per-query MemoryBudget() is exceeded, join
 // outputs spill to a temp file as ChunkedRelation chunks, and a semijoin
 // whose build table is over budget grace-partitions both sides (radix on
-// the packed-key hash) to disk: build keys, then each in-range left row
-// as a (key, row) pair, every left morsel packed once. Each partition is
+// the code's hash) to disk: build codes, then each in-range left row as a
+// (code, row) pair, every left morsel coded once. Each partition is
 // one work item that probes its own small key set, so each left row is
 // still probed once. Spill decisions are pure functions of exact
 // pre-pass sizes, so answers stay bit-identical spill-on and spill-off
@@ -50,6 +57,19 @@ Relation EngineJoin(const Relation& a, const Relation& b, ThreadPool* pool);
 /// build table exceeds MemoryBudget().
 void EngineSemijoinInPlace(Relation* left, const Relation& right,
                            ThreadPool* pool);
+
+/// Weighted semijoin, the step of counting: multiplies left_weights[t]
+/// by the sum of right_weights[u] over the rows u of `right` that agree
+/// with row t of `left` on their shared variables (0 when none does).
+/// The weight vectors are aligned with the relations' rows. Morsel-
+/// parallel over both sides' key coding and the left rows; the products
+/// are identical for any thread count. Adds nothing to
+/// relation.rows_joined or relation.rows_semijoin_dropped.
+void EngineWeightedSemijoin(const Relation& left,
+                            std::vector<long long>* left_weights,
+                            const Relation& right,
+                            const std::vector<long long>& right_weights,
+                            ThreadPool* pool);
 
 /// Projection with dedup; same contract as Relation::Project plus
 /// morsel-parallel key packing.

@@ -1,10 +1,11 @@
 // Named relations with the operators the decomposition-based solvers need:
 // natural join, semijoin, projection and membership — implemented as a
 // flat-storage kernel. Tuples live in one contiguous row-major buffer
-// (arity-stride access, no per-tuple heap allocation); join keys are
-// hashed in place from row positions (splitmix64-mixed per element, no key
-// materialization); semijoin is an in-place swap-compaction; and a lazily
-// built per-relation hash index makes Contains O(1) amortized.
+// (arity-stride access, no per-tuple heap allocation). Join, semijoin and
+// projection delegate to the morsel engine (csp/morsel_engine.h), which
+// turns key columns into one 64-bit code per row; semijoin is an in-place
+// swap-compaction; and a lazily built per-relation hash index over whole
+// rows makes Contains O(1) amortized.
 //
 // Thread-safety contract: concurrent const access (Join / Semijoin /
 // Project / Contains / row reads) is safe, including the lazy index build
@@ -36,7 +37,8 @@ namespace hypertree {
 inline uint64_t SplitMix64(uint64_t x) { return kernels::SplitMix64(x); }
 
 /// Hash of `row[pos[0..k)]` without materializing the key: each element is
-/// folded into the running state through a full splitmix64 round.
+/// folded into the running state through a full splitmix64 round (the
+/// engine's key numbering hashes its tuples with it).
 inline uint64_t HashRowKey(const int* row, const int* pos, int k) {
   uint64_t h = 0x9e3779b97f4a7c15ULL;
   for (int i = 0; i < k; ++i) {
@@ -145,13 +147,6 @@ class Relation {
   // engine writes join/project output straight into data_ and compacts
   // semijoin survivors in place.
   friend struct RelationInternal;
-
-  // The pre-engine generic operator bodies (row-hash JoinKeyTable path).
-  // The public operators delegate to the morsel engine, which falls back
-  // here when keys do not pack into single 64-bit words.
-  Relation JoinGeneric(const Relation& other) const;
-  void SemijoinInPlaceGeneric(const Relation& other);
-  Relation ProjectGeneric(const std::vector<int>& vars) const;
 
   // Below this row count, ContainsRow scans the flat buffer instead of
   // building an index (a contiguous scan beats hashing for the tiny

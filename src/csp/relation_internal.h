@@ -18,18 +18,6 @@ struct RelationInternal {
   static int& Rows(Relation& r) { return r.rows_; }
   static void DropIndex(Relation& r) { r.DropIndex(); }
   static void CheckRep(const Relation& r) { r.DCheckRep(); }
-  /// The pre-engine generic operator bodies (row-hash JoinKeyTable path);
-  /// the engine delegates here when keys do not pack into single words.
-  static Relation JoinGeneric(const Relation& a, const Relation& b) {
-    return a.JoinGeneric(b);
-  }
-  static void SemijoinGeneric(Relation& left, const Relation& right) {
-    left.SemijoinInPlaceGeneric(right);
-  }
-  static Relation ProjectGeneric(const Relation& r,
-                                 const std::vector<int>& vars) {
-    return r.ProjectGeneric(vars);
-  }
 };
 
 }  // namespace hypertree

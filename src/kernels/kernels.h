@@ -129,8 +129,9 @@ struct Ops {
 
   /// Join-engine key materialization: keys[r] = the k values
   /// rows[r * stride + pos[i]] packed big-endian (pos[0] in the top
-  /// bits), `bits` bits per value, for r in [0, nrows). The caller
-  /// guarantees every key value lies in [0, 2^bits) and k * bits <= 64.
+  /// bits), `bits` bits per value, for r in [0, nrows); k = 0 packs every
+  /// row to 0. The caller guarantees every key value lies in [0, 2^bits)
+  /// and k * bits <= 64.
   /// *out_min / *out_max receive the min / max packed key (the morsel
   /// zone-map metadata); an empty range yields min = ~0, max = 0.
   void (*PackKeys)(uint64_t* keys, const int* rows, size_t stride,

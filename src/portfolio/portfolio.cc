@@ -41,14 +41,6 @@ metrics::Counter& EnginesCancelledMetric() {
       metrics::GetCounter("portfolio.engines_cancelled");
   return c;
 }
-metrics::Counter& UbUpdatesMetric() {
-  static metrics::Counter& c = metrics::GetCounter("portfolio.ub_updates");
-  return c;
-}
-metrics::Counter& LbUpdatesMetric() {
-  static metrics::Counter& c = metrics::GetCounter("portfolio.lb_updates");
-  return c;
-}
 
 // Everything one engine task writes; read only after pool.Wait().
 struct EngineOutcome {
@@ -269,7 +261,7 @@ PortfolioResult PortfolioGhw(const Hypergraph& h,
   // ---- Race. ----
   int threads = options.threads > 0 ? options.threads
                                     : ThreadPool::HardwareThreads();
-  SharedBounds shared(static_cast<int>(pr.plan.lineup.size()), static_lb, u0);
+  SharedBounds shared(static_cast<int>(pr.plan.lineup.size()));
   std::vector<EngineOutcome> outcomes(pr.plan.lineup.size());
   EnginesRacedMetric().Add(static_cast<long>(pr.plan.lineup.size()));
   if (options.trace) {
@@ -298,7 +290,7 @@ PortfolioResult PortfolioGhw(const Hypergraph& h,
         RunEngine(h, pr.plan.lineup[i], options, static_lb, u0, token, &out);
         if (out.proved) {
           out.stats.proved = true;
-          shared.Prove(static_cast<int>(i), out.proved_width);
+          shared.Prove(static_cast<int>(i));
         } else if (token.Cancelled()) {
           out.stats.cancelled = true;
         }
@@ -310,8 +302,6 @@ PortfolioResult PortfolioGhw(const Hypergraph& h,
   double settled = shared.ElapsedSeconds();
   double first_prove = shared.FirstProveSeconds();
   if (first_prove >= 0) pr.cancel_latency_seconds = settled - first_prove;
-  UbUpdatesMetric().Add(shared.ub_updates());
-  LbUpdatesMetric().Add(shared.lb_updates());
 
   // ---- Verdict (main thread, lineup-index order: deterministic). ----
   long cancelled = 0;

@@ -1,11 +1,10 @@
 // SharedBounds: the atomic state racing portfolio engines share.
 //
-// The bounds start at the prologue's static lower bound and heuristic
-// incumbent, and only Prove() moves them: engines neither publish nor
-// read bounds during a race, so the bounds and their update counters
-// record only proofs. An engine that *proves* optimality calls Prove(),
-// which max-merges the width into the lower bound, min-merges it into the
-// upper bound and cancels every engine with a LARGER index via its
+// Engines neither publish nor read bounds during a race: they all start
+// from the prologue's bounds, and the verdict takes the winner's width
+// from its own outcome. What they share is the supersede rule. An engine
+// that *proves* optimality calls Prove(), which records it as a candidate
+// winner and cancels every engine with a LARGER index via its
 // CancellationToken; lower-indexed engines run to completion. That
 // supersede rule is what keeps racing deterministic: whether engine i
 // finishes is then independent of thread scheduling (it can only be
@@ -27,50 +26,17 @@
 
 namespace hypertree {
 
-/// Thread-safe race state. All bound reads/writes are lock-free (relaxed
-/// atomics: bounds are monotone scalars merged by CAS); only the
-/// first-prove timestamp takes a mutex, off the hot path.
+/// Thread-safe race state. The winner index is a lock-free atomic; only
+/// the first-prove timestamp takes a mutex, off the hot path.
 class SharedBounds {
  public:
-  /// `num_engines` fixed for the race; optional seed bounds come from the
-  /// deterministic prologue (static lower bound, heuristic incumbent).
-  explicit SharedBounds(int num_engines, int lower_bound = 0,
-                        int upper_bound = INT_MAX)
-      : lb_(lower_bound), ub_(upper_bound), tokens_(num_engines) {}
+  /// `num_engines` fixed for the race.
+  explicit SharedBounds(int num_engines) : tokens_(num_engines) {}
 
-  /// Best witnessed upper bound so far; INT_MAX when none.
-  int IncumbentUpperBound() const {
-    return ub_.load(std::memory_order_relaxed);
-  }
-  /// Min-merges a witnessed width.
-  void PublishUpperBound(int width) {
-    int seen = ub_.load(std::memory_order_relaxed);
-    while (width < seen) {
-      if (ub_.compare_exchange_weak(seen, width, std::memory_order_relaxed)) {
-        ub_updates_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-    }
-  }
-  /// Max-merges a proven lower bound.
-  void PublishLowerBound(int bound) {
-    int seen = lb_.load(std::memory_order_relaxed);
-    while (bound > seen) {
-      if (lb_.compare_exchange_weak(seen, bound, std::memory_order_relaxed)) {
-        lb_updates_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-    }
-  }
-
-  int LowerBound() const { return lb_.load(std::memory_order_relaxed); }
-
-  /// Engine `engine` proved the optimum is `width`: record it as a
-  /// candidate winner and cancel every engine ordered after it. Safe to
-  /// call from multiple engines; the smallest index wins.
-  void Prove(int engine, int width) {
-    PublishUpperBound(width);
-    PublishLowerBound(width);
+  /// Engine `engine` proved its width optimal: record it as a candidate
+  /// winner and cancel every engine ordered after it. Safe to call from
+  /// multiple engines; the smallest index wins.
+  void Prove(int engine) {
     // Relaxed is deliberate on the winner index: best_prover_ is a
     // monotone minimum (CAS only ever lowers it), every engine's witness
     // lives in its own caller-owned slot, and the verdict is read after
@@ -114,13 +80,6 @@ class SharedBounds {
     for (auto& t : tokens_) t.Cancel();
   }
 
-  long ub_updates() const {
-    return ub_updates_.load(std::memory_order_relaxed);
-  }
-  long lb_updates() const {
-    return lb_updates_.load(std::memory_order_relaxed);
-  }
-
   /// Seconds from construction to the race's first optimality proof
   /// (negative when nothing proved yet).
   double FirstProveSeconds() const {
@@ -132,11 +91,7 @@ class SharedBounds {
   double ElapsedSeconds() const { return timer_.ElapsedSeconds(); }
 
  private:
-  std::atomic<int> lb_;
-  std::atomic<int> ub_;
   std::atomic<int> best_prover_{INT_MAX};
-  std::atomic<long> ub_updates_{0};
-  std::atomic<long> lb_updates_{0};
   std::vector<CancellationToken> tokens_;
   Timer timer_;
   mutable std::mutex mu_;

@@ -54,9 +54,9 @@ DecompCache::DecompCache(int num_shards) {
 DecompCache::Outcome DecompCache::Lookup(
     const Bitset& component, const Bitset& connector, int k,
     std::shared_ptr<const CachedSubtree>* subtree) {
-  // det-k keys use k >= 1; k = -1 is reserved for transposition entries
-  // (see TranspositionKey), so a stray non-positive k would silently read
-  // the wrong keyspace.
+  // det-k keys use k >= 1; k = -2 is reserved for whole-instance entries
+  // (see InstanceKey), so a stray non-positive k could read the wrong
+  // keyspace.
   HT_DCHECK_GE(k, 1);
   Key key{component, connector, k};
   Shard& shard = ShardFor(key);
@@ -105,39 +105,6 @@ void DecompCache::InsertPositive(const Bitset& component,
     e.subtree = std::move(subtree);
     CountInsert();
   }
-}
-
-bool DecompCache::DominatedOrInsert(const Bitset& state, int value) {
-  Key key = TranspositionKey(state);
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto [it, inserted] = shard.map.try_emplace(std::move(key));
-  Entry& e = it->second;
-  if (!inserted && e.outcome == Outcome::kPositive && e.value <= value) {
-    CountHit();
-    return true;
-  }
-  CountMiss();
-  e.outcome = Outcome::kPositive;
-  e.value = value;
-  CountInsert();
-  return false;
-}
-
-bool DecompCache::DominatedStrict(const Bitset& state, int value) {
-  Key key = TranspositionKey(state);
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  bool dominated = it != shard.map.end() &&
-                   it->second.outcome == Outcome::kPositive &&
-                   it->second.value < value;
-  if (dominated) {
-    CountHit();
-  } else {
-    CountMiss();
-  }
-  return dominated;
 }
 
 DecompCache::Outcome DecompCache::LookupInstance(

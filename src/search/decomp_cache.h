@@ -10,15 +10,7 @@
 //     re-deriving it. Both are order-independent facts, which is what
 //     makes the table safe to share across concurrent search workers.
 //
-//  2. Transposition / dominance probes: key is an eliminated vertex set,
-//     the value the smallest g (max bag cover so far) the set was reached
-//     with. A revisit with g' >= g is dominated and pruned. The
-//     elimination-ordering searches, which run on one thread each, keep
-//     the same table in a private flat map (search_internal::BestGTable
-//     in td/elimination_search.h) and report through
-//     AddDecompCacheMetrics.
-//
-//  3. Whole-instance witness entries for the decomposition service
+//  2. Whole-instance witness entries for the decomposition service
 //     (src/serve): key is the 128-bit content hash of the normalized
 //     instance (as a Bitset), the value a caller-packed meta word plus
 //     the full decomposition as a CachedSubtree. This is the in-memory
@@ -92,15 +84,6 @@ class DecompCache {
   void InsertPositive(const Bitset& component, const Bitset& connector, int k,
                       std::shared_ptr<const CachedSubtree> subtree);
 
-  /// Transposition-table probe: returns true (and counts a hit) when the
-  /// state was already reached with a value <= `value`; otherwise records
-  /// `value` as the new best and returns false. Atomic per state.
-  bool DominatedOrInsert(const Bitset& state, int value);
-
-  /// True when the state's recorded best value is strictly below `value`.
-  /// Never inserts (A* uses this to drop stale queue entries).
-  bool DominatedStrict(const Bitset& state, int value);
-
   /// Whole-instance witness lookup (serve keyspace, see file comment).
   /// On kPositive, `*meta` / `*subtree` (when non-null) receive the
   /// stored meta word and decomposition.
@@ -170,14 +153,9 @@ class DecompCache {
     HT_DCHECK(shards_[shard] != nullptr);
     return *shards_[shard];
   }
-  static Key TranspositionKey(const Bitset& state) {
-    // Transposition entries live in the same store under k = -1 (det-k
-    // keys always have k >= 1, so the spaces cannot collide).
-    return Key{state, Bitset(), -1};
-  }
   static Key InstanceKey(const Bitset& key) {
-    // Whole-instance witness entries live under k = -2 (disjoint from
-    // both the det-k space, k >= 1, and the transposition space, k = -1).
+    // Whole-instance witness entries live under k = -2 (disjoint from the
+    // det-k space, k >= 1).
     return Key{key, Bitset(), -2};
   }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "td/elimination_search.h"
 #include "util/bitset.h"
 
 namespace hypertree {
@@ -73,37 +74,41 @@ TEST(DecompCacheTest, StatsCountHitsMissesInserts) {
   EXPECT_EQ(s.hits, 2);
 }
 
-TEST(DecompCacheTest, DominatedOrInsertSemantics) {
-  DecompCache cache;
+// The elimination-ordering searches' transposition / duplicate table:
+// key an eliminated vertex set, value the smallest g it was reached with.
+TEST(BestGTableTest, DominatedOrInsertSemantics) {
+  search_internal::BestGTable table;
   Bitset state = Bits(16, {3, 7, 11});
   // First visit: records value 3, not dominated.
-  EXPECT_FALSE(cache.DominatedOrInsert(state, 3));
+  EXPECT_FALSE(table.DominatedOrInsert(state, 3));
   // Revisit with equal or worse value: dominated.
-  EXPECT_TRUE(cache.DominatedOrInsert(state, 3));
-  EXPECT_TRUE(cache.DominatedOrInsert(state, 5));
+  EXPECT_TRUE(table.DominatedOrInsert(state, 3));
+  EXPECT_TRUE(table.DominatedOrInsert(state, 5));
   // Revisit with a better value: not dominated, entry is improved.
-  EXPECT_FALSE(cache.DominatedOrInsert(state, 2));
-  EXPECT_TRUE(cache.DominatedOrInsert(state, 2));
+  EXPECT_FALSE(table.DominatedOrInsert(state, 2));
+  EXPECT_TRUE(table.DominatedOrInsert(state, 2));
   // A different state is independent.
-  EXPECT_FALSE(cache.DominatedOrInsert(Bits(16, {3, 7}), 3));
+  EXPECT_FALSE(table.DominatedOrInsert(Bits(16, {3, 7}), 3));
+  // Every dominated probe is a hit; every other one a miss and an insert.
+  DecompCacheStats s = table.Publish();
+  EXPECT_EQ(s.hits, 3);
+  EXPECT_EQ(s.misses, 3);
+  EXPECT_EQ(s.inserts, 3);
 }
 
-TEST(DecompCacheTest, DominatedStrictNeverInserts) {
-  DecompCache cache;
+TEST(BestGTableTest, DominatedStrictNeverInserts) {
+  search_internal::BestGTable table;
   Bitset state = Bits(16, {1, 2});
-  EXPECT_FALSE(cache.DominatedStrict(state, 4));  // unknown state
-  EXPECT_FALSE(cache.DominatedOrInsert(state, 3));
-  EXPECT_FALSE(cache.DominatedStrict(state, 3));  // equal is not strict
-  EXPECT_TRUE(cache.DominatedStrict(state, 4));
-  EXPECT_FALSE(cache.DominatedStrict(state, 2));
-}
-
-TEST(DecompCacheTest, TranspositionAndDetkKeysDoNotCollide) {
-  DecompCache cache;
-  Bitset state = Bits(8, {0, 1});
-  EXPECT_FALSE(cache.DominatedOrInsert(state, 1));
-  // A det-k lookup on the same component bits is a separate key space.
-  EXPECT_EQ(cache.Lookup(state, Bitset(), 1), DecompCache::Outcome::kUnknown);
+  EXPECT_FALSE(table.DominatedStrict(state, 4));  // unknown state
+  EXPECT_FALSE(table.DominatedOrInsert(state, 3));
+  EXPECT_FALSE(table.DominatedStrict(state, 3));  // equal is not strict
+  EXPECT_TRUE(table.DominatedStrict(state, 4));
+  EXPECT_FALSE(table.DominatedStrict(state, 2));
+  // Only the DominatedOrInsert call inserted.
+  DecompCacheStats s = table.Publish();
+  EXPECT_EQ(s.hits, 1);
+  EXPECT_EQ(s.misses, 4);
+  EXPECT_EQ(s.inserts, 1);
 }
 
 TEST(DecompCacheTest, ClearDropsEntriesKeepsCounters) {
@@ -120,12 +125,17 @@ TEST(DecompCacheTest, ClearDropsEntriesKeepsCounters) {
 
 TEST(DecompCacheTest, SingleShardStillWorks) {
   DecompCache cache(1);
+  EXPECT_EQ(cache.num_shards(), 1);
   for (int i = 0; i < 8; ++i) {
-    EXPECT_FALSE(cache.DominatedOrInsert(Bits(8, {i}), i));
+    EXPECT_EQ(cache.Lookup(Bits(8, {i}), Bits(8, {(i + 1) % 8}), 2),
+              DecompCache::Outcome::kUnknown);
+    cache.InsertNegative(Bits(8, {i}), Bits(8, {(i + 1) % 8}), 2);
   }
   for (int i = 0; i < 8; ++i) {
-    EXPECT_TRUE(cache.DominatedOrInsert(Bits(8, {i}), i));
+    EXPECT_EQ(cache.Lookup(Bits(8, {i}), Bits(8, {(i + 1) % 8}), 2),
+              DecompCache::Outcome::kNegative);
   }
+  EXPECT_EQ(cache.NumEntries(), size_t{8});
 }
 
 }  // namespace

@@ -210,10 +210,11 @@ TEST(KernelsEquivalence, PackAndProbeKeysMatchScalar) {
   // determinism contract, see tests/parallel_yannakakis_test.cc).
   Rng rng(20250808);
   // (arity, k, bits, nrows): the 40000-row shape is the long multi-lane
-  // run; bits=16 with k=4 fills all 64 key bits.
+  // run; bits=16 with k=4 fills all 64 key bits; k=0 (the engine's cross
+  // products) packs every row to 0.
   const int configs[][4] = {
       {1, 1, 1, 0},  {3, 2, 5, 1},    {4, 3, 7, 63},     {5, 4, 16, 1000},
-      {2, 1, 20, 64}, {6, 5, 12, 257}, {3, 3, 10, 40000},
+      {2, 1, 20, 64}, {6, 5, 12, 257}, {3, 3, 10, 40000}, {3, 0, 0, 1000},
   };
   for (const auto& cfg : configs) {
     const int arity = cfg[0], k = cfg[1], bits = cfg[2], nrows = cfg[3];
@@ -230,6 +231,9 @@ TEST(KernelsEquivalence, PackAndProbeKeysMatchScalar) {
     uint64_t ref_mn = 0, ref_mx = 0;
     ref.PackKeys(ref_keys.data(), rows.data(), static_cast<size_t>(arity),
                  pos.data(), k, bits, nrows, &ref_mn, &ref_mx);
+    if (k == 0) {
+      EXPECT_EQ(std::vector<uint64_t>(ref_keys.size(), 0), ref_keys);
+    }
 
     // A hash table over a subset of the keys (every third row), built
     // once: probes hit and miss both.

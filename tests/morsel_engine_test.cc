@@ -1,10 +1,11 @@
 // Randomized equivalence and determinism tests for the morsel-driven
-// join engine (src/csp/morsel_engine.h): every engine mode — dense,
-// hash, generic-fallback, pooled, chunked and spilled — must produce
-// the exact output (values AND row order) of a naive reference, and the
-// same bytes whatever the thread count or memory budget. The spill
-// byte-identity cases here are the ones scripts/run_asan_checks.sh and
-// the CI low-memory job lean on (docs/SOLVING.md).
+// join engine (src/csp/morsel_engine.h): every key encoding — packed,
+// k = 0 and numbered — and every engine mode — dense, hash, pooled,
+// chunked and spilled — must produce the exact output (values AND row
+// order) of a naive reference, and the same bytes whatever the thread
+// count or memory budget. The spill byte-identity cases here are the ones
+// scripts/run_asan_checks.sh and the CI low-memory job lean on
+// (docs/SOLVING.md).
 
 #include "csp/morsel_engine.h"
 
@@ -120,15 +121,15 @@ void ExpectSame(const Relation& want, const Relation& got) {
 }
 
 // Value ranges that steer the engine through each mode: tiny domains
-// (dense tables), wide values (hash tables), negatives (generic
-// fallback — keys do not pack).
+// (dense tables), wide values (hash tables), negatives (numbered codes —
+// keys do not pack).
 struct Mode {
   int lo;
   int hi;
   const char* name;
 };
 const Mode kModes[] = {
-    {0, 2, "dense"}, {0, 4000000, "hash"}, {-3, 3, "generic"}};
+    {0, 2, "dense"}, {0, 4000000, "hash"}, {-3, 3, "numbered"}};
 
 class MorselEngineTest : public ::testing::Test {
  protected:
@@ -192,8 +193,9 @@ TEST_F(MorselEngineTest, SemijoinMatchesNaiveAllModes) {
 }
 
 TEST_F(MorselEngineTest, SemijoinEdgeCases) {
-  // No shared variables / empty sides route through the generic path
-  // with its documented drop-everything / keep-everything semantics.
+  // Empty sides are handled inline: an empty right side drops every left
+  // row. With no shared variable every key code is 0, so a non-empty
+  // right side keeps every row.
   Relation a(std::vector<int>{0, 1});
   a.AddTuple({1, 2});
   a.AddTuple({3, 4});
@@ -224,9 +226,9 @@ TEST_F(MorselEngineTest, ProjectMatchesNaiveAllModes) {
       for (int i = 0; i < ra; ++i) {
         if (rng.UniformInt(2) == 0) vars.push_back(i);
       }
-      if (vars.empty()) vars.push_back(0);
       // Project first-occurrence order is part of the contract: shuffle
-      // which variables are kept, not the row order.
+      // which variables are kept, not the row order. Keeping none (k = 0)
+      // must leave one empty row.
       Relation a = RandomRelation(
           sa, static_cast<int>(rng.UniformInt(9000)), m.lo, m.hi, &rng);
       const Relation want = NaiveProject(a, vars);
@@ -235,6 +237,65 @@ TEST_F(MorselEngineTest, ProjectMatchesNaiveAllModes) {
       ExpectSame(want, a.Project(vars));
     }
   }
+}
+
+// A spilled copy of `r`: each morsel written to a spill file as one chunk.
+ChunkedRelation SpilledCopy(const Relation& r) {
+  auto file = std::make_shared<SpillFile>();
+  file->Open();
+  ChunkedRelation out(r.schema(), file);
+  const int chunks = MorselCount(r.Size());
+  out.ResizeChunks(chunks);
+  for (int m = 0; m < chunks; ++m) {
+    const int rows = MorselAt(m, r.Size()).size();
+    const long long bytes =
+        static_cast<long long>(rows) * r.Arity() * sizeof(int);
+    const long long off = file->Allocate(bytes);
+    file->WriteAt(off, MorselData(r, m), static_cast<size_t>(bytes));
+    out.SetChunk(m, off, rows);
+  }
+  out.FinishChunks();
+  return out;
+}
+
+TEST_F(MorselEngineTest, UnpackableJoinsOfSpilledProbeSideSpill) {
+  // Keys that do not pack — three shared 30-bit columns (numbered codes)
+  // and no shared column at all (a cross product) — run on the same
+  // chunked path as packed ones: over a spilled probe side and under a
+  // 4 KiB budget, the outputs spill, byte-equal to NaiveJoin.
+  Rng rng(9);
+  ThreadPool pool(4);
+  std::vector<int> wide;  // 30-bit values: three columns need 90 bits
+  for (int i = 0; i < 8; ++i) {
+    wide.push_back((1 << 29) + static_cast<int>(rng.UniformInt(1 << 29)));
+  }
+  auto wide_relation = [&](const std::vector<int>& schema, int rows) {
+    Relation r(schema);
+    std::vector<int> row(schema.size());
+    for (int t = 0; t < rows; ++t) {
+      for (int& v : row) v = wide[rng.UniformInt(wide.size())];
+      r.AddRow(row.data());
+    }
+    return r;
+  };
+  const Relation a = wide_relation({0, 1, 2, 3}, 3 * kMorselRows + 100);
+  const Relation on_three = wide_relation({2, 0, 1, 4}, 200);
+  const Relation cross = wide_relation({5, 6}, 3);
+  const ChunkedRelation spilled_a = SpilledCopy(a);
+  SetMemoryBudget(4 << 10);
+  for (const Relation* b : {&on_three, &cross}) {
+    SCOPED_TRACE(b == &cross ? "cross product" : "three 30-bit columns");
+    const Relation want = NaiveJoin(a, *b);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      ChunkedRelation got = EngineJoinChunked(spilled_a, *b, p);
+      EXPECT_TRUE(got.spilled());
+      ExpectSame(want, std::move(got).ToRelation());
+    }
+  }
+  const std::vector<int> onto = {2, 0, 3};
+  const Relation want = NaiveProject(a, onto);
+  ExpectSame(want, EngineProjectChunked(spilled_a, onto, nullptr));
+  ExpectSame(want, EngineProjectChunked(spilled_a, onto, &pool));
 }
 
 TEST_F(MorselEngineTest, ChunkedRoundTripResidentAndSpilled) {

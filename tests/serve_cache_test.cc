@@ -111,11 +111,13 @@ TEST(ServeCacheTest, DecompCacheInstanceEntries) {
   for (size_t count : cache.ShardEntryCounts()) total += count;
   EXPECT_EQ(total, size_t{1});
 
-  // The instance keyspace (k = -2) does not collide with det-k or
-  // transposition entries for the same bitset.
-  EXPECT_FALSE(cache.DominatedOrInsert(norm.key_bits, 5));
+  // The instance keyspace (k = -2) does not collide with det-k entries
+  // for the same bitset.
+  cache.InsertNegative(norm.key_bits, Bitset(), 1);
   EXPECT_EQ(cache.Lookup(norm.key_bits, Bitset(), 1),
-            DecompCache::Outcome::kUnknown);
+            DecompCache::Outcome::kNegative);
+  EXPECT_EQ(cache.LookupInstance(norm.key_bits),
+            DecompCache::Outcome::kPositive);
   EXPECT_EQ(cache.NumEntries(), size_t{2});
 }
 
