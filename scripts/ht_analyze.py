@@ -1,40 +1,22 @@
 #!/usr/bin/env python3
-"""ht-analyze: semantic static analysis enforcing the repo's concurrency,
-determinism, and kernel-purity contracts.
+"""ht-analyze: the repo's source-analysis gate for its determinism,
+concurrency and kernel-purity contracts.
 
-The determinism lint (check_determinism_lint.py) bans *textual* hazards;
-this pass enforces the contracts that are structural: what a lambda
-captures across a thread boundary, whether an `HT_DCHECK` operand has a
-side effect that vanishes under NDEBUG, whether a kernel backend stays
-pure, and whether every atomic access names its memory order. It runs on
-a micro-AST (tokens + matched paren/brace trees + per-TU declaration
-tables) built by a tokenizer that needs no compiler, and optionally
-sharpens its type facts through clang when one is installed:
-
-  backend 'libclang'   clang.cindex over compile_commands.json — cross-TU
-                       type resolution for atomics / unordered containers.
-  backend 'clang-json' `clang++ -fsyntax-only -Xclang -ast-dump=json` per
-                       TU, declarations harvested from the dump.
-  backend 'builtin'    tokenizer-only (always available; the two clang
-                       backends *add* declaration facts on top of it).
-
-`--backend=auto` (default) picks the best available. All rules run — and
-the self-test passes — under every backend; clang only removes
-false-positive risk on receivers declared in headers the builtin
-declaration scan cannot see.
+Every rule runs on the file's comment- and string-stripped text, so a
+banned name inside a comment or a string literal never counts. Line rules
+match one stripped line at a time; the structural rules walk a micro-AST
+(tokens + matched paren/brace trees + per-file declaration tables) built
+by a tokenizer that needs no compiler, so the analysis is the same on
+every machine.
 
 Usage:
-    scripts/ht_analyze.py                      # analyze src/ tools/ bench/
-    scripts/ht_analyze.py PATH...              # analyze explicit paths
-    scripts/ht_analyze.py --self-test          # fixture suite
-    scripts/ht_analyze.py --build-dir=build    # use build/compile_commands.json
-    scripts/ht_analyze.py --cache=FILE         # reuse per-file results across
-                                               # runs (keyed by content hash)
-    scripts/ht_analyze.py --list-rules         # print the rule catalog
+    scripts/ht_analyze.py                  # analyze src/ tools/ bench/ fuzz/
+    scripts/ht_analyze.py PATH...          # analyze explicit paths
+    scripts/ht_analyze.py --self-test      # fixture suite
+    scripts/ht_analyze.py --list-rules     # print the rule catalog
 
 Escape hatch: `// ht-analyze: allow(<rule-id>)` on the offending line or
-the line directly above suppresses exactly that rule on that line (shared
-grammar with the determinism lint; see scripts/lint_common.py).
+the line directly above suppresses exactly that rule on that line.
 
 Rules (ids are stable; full catalog in docs/STATIC_ANALYSIS.md):
     pool-capture      lambdas handed to ThreadPool::Submit / RunForAll /
@@ -58,28 +40,134 @@ Rules (ids are stable; full catalog in docs/STATIC_ANALYSIS.md):
     no-exceptions     no throw/try/catch — the library is contract-
                       checked (HT_CHECK aborts), not exception-safe.
     unordered-output  range-for over an unordered container whose body
-                      emits (stream/printf/JSON) without sorting first —
-                      AST-level successor of the regex rule, with real
-                      loop bodies instead of a 30-line window.
+                      emits (stream/printf/JSON) without sorting first.
+    no-libc-rand      rand()/srand()/drand48()/lrand48()/random() —
+                      process-global, unseeded; use util/rng.h.
+    no-random-device  std::random_device — nondeterministic by design.
+    no-wall-clock     time()/clock()/gettimeofday()/localtime()/gmtime()/
+                      strftime()/system_clock — wall-clock values leaking
+                      into results; steady_clock durations are fine.
+    no-pointer-key    std::map/std::set keyed by a pointer type —
+                      iteration order depends on the allocator.
+    banned-header     <ctime>/<time.h>/<sys/time.h> (wall clock) and
+                      <random> (use util/rng.h).
+    include-guard     headers must carry a HYPERTREE_*_H_ include guard.
 """
 
-import hashlib
-import json
 import os
 import re
-import shutil
-import subprocess
 import sys
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from lint_common import (Finding, allowed, collect_files,
-                         run_fixture_suite, strip_comments_and_strings)
-
-TOOL = "ht-analyze"
 DEFAULT_DIRS = ("src", "tools", "bench", "fuzz")
+SOURCE_EXTS = (".h", ".cc", ".cpp")
 
-# Bump when rule behavior changes: invalidates --cache entries.
-RULES_VERSION = 1
+# ---------------------------------------------------------------------------
+# Plumbing: suppressions, findings, stripping, file collection
+# ---------------------------------------------------------------------------
+
+_ALLOW_RE = re.compile(r"//\s*ht-analyze:\s*allow\(([a-z0-9-]+)\)")
+
+
+def allowed(raw_lines, lineno, rule):
+    """True when line `lineno` (1-based) or the line directly above carries
+    `// ht-analyze: allow(<rule>)`. One comment names one rule and reaches
+    one line: two findings of different rules on a line need two."""
+    for candidate in (lineno, lineno - 1):
+        if 1 <= candidate <= len(raw_lines):
+            if rule in _ALLOW_RE.findall(raw_lines[candidate - 1]):
+                return True
+    return False
+
+
+class Finding:
+    """One rule violation, printed as `path:line: [rule] message`."""
+
+    def __init__(self, path, line, rule, message):
+        self.path = path
+        self.line = line
+        self.rule = rule
+        self.message = message
+
+    def key(self):
+        return (self.path, self.line, self.rule)
+
+    def __str__(self):
+        return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
+
+
+def strip_comments_and_strings(text):
+    """Replaces comments and string/char literal *contents* with spaces,
+    preserving line structure so findings keep their line numbers."""
+    out = []
+    i, n = 0, len(text)
+    state = "code"  # code | line_comment | block_comment | dquote | squote
+    while i < n:
+        c = text[i]
+        nxt = text[i + 1] if i + 1 < n else ""
+        if state == "code":
+            if c == "/" and nxt == "/":
+                state = "line_comment"
+                out.append("  ")
+                i += 2
+                continue
+            if c == "/" and nxt == "*":
+                state = "block_comment"
+                out.append("  ")
+                i += 2
+                continue
+            if c == '"':
+                state = "dquote"
+            elif c == "'":
+                state = "squote"
+            out.append(c)
+        elif state == "line_comment":
+            if c == "\n":
+                state = "code"
+                out.append(c)
+            else:
+                out.append(" ")
+        elif state == "block_comment":
+            if c == "*" and nxt == "/":
+                state = "code"
+                out.append("  ")
+                i += 2
+                continue
+            out.append(c if c == "\n" else " ")
+        else:  # inside a string or char literal
+            quote = '"' if state == "dquote" else "'"
+            if c == "\\":
+                out.append("  ")
+                i += 2
+                continue
+            if c == quote:
+                state = "code"
+                out.append(c)
+            elif c == "\n":  # unterminated (macro line continuation etc.)
+                state = "code"
+                out.append(c)
+            else:
+                out.append(" ")
+        i += 1
+    return "".join(out)
+
+
+def collect_files(paths):
+    """Expands files/directories into a sorted, de-duplicated source list;
+    exits with a diagnostic on a missing path."""
+    files = []
+    for p in paths:
+        if os.path.isfile(p):
+            files.append(p)
+        elif os.path.isdir(p):
+            for root, _, names in os.walk(p):
+                for name in names:
+                    if name.endswith(SOURCE_EXTS):
+                        files.append(os.path.join(root, name))
+        else:
+            print(f"error: no such path: {p}", file=sys.stderr)
+            sys.exit(2)
+    return sorted(set(files))
+
 
 # ---------------------------------------------------------------------------
 # Tokenizer + micro-AST
@@ -159,7 +247,7 @@ def receiver_base(toks, i):
 
 
 # ---------------------------------------------------------------------------
-# Declaration tables (builtin backend) — name -> "flavor" facts harvested
+# Declaration tables — name -> "flavor" facts harvested
 # from declarations in the file and the project headers it includes.
 # ---------------------------------------------------------------------------
 
@@ -237,109 +325,6 @@ class DeclTable:
 
 
 # ---------------------------------------------------------------------------
-# Optional clang backends: add declaration facts the builtin scan missed.
-# ---------------------------------------------------------------------------
-
-def _load_compile_db(build_dir):
-    path = os.path.join(build_dir, "compile_commands.json")
-    if not os.path.isfile(path):
-        return None
-    try:
-        with open(path, encoding="utf-8") as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError):
-        return None
-
-
-def _libclang_available():
-    try:
-        import clang.cindex  # noqa: F401
-        return True
-    except ImportError:
-        return False
-
-
-def _clang_json_available():
-    return shutil.which("clang++") is not None
-
-
-def pick_backend(requested):
-    if requested != "auto":
-        return requested
-    if _libclang_available():
-        return "libclang"
-    if _clang_json_available():
-        return "clang-json"
-    return "builtin"
-
-
-def _augment_decls_libclang(path, table, compile_db, warnings):
-    """Walks the clang AST for `path` and adds every VarDecl/FieldDecl
-    whose canonical type mentions atomic / unordered_. Best effort: any
-    failure falls back to the builtin facts."""
-    try:
-        import clang.cindex as ci
-        args = []
-        for entry in compile_db or []:
-            if os.path.normpath(entry.get("file", "")) == os.path.normpath(
-                    path):
-                args = [a for a in entry.get("command", "").split()[1:]
-                        if a != "-c" and not a.endswith(".cc")
-                        and a != "-o" and not a.endswith(".o")]
-                break
-        index = ci.Index.create()
-        tu = index.parse(path, args=args)
-        for cur in tu.cursor.walk_preorder():
-            if cur.kind in (ci.CursorKind.VAR_DECL, ci.CursorKind.FIELD_DECL,
-                            ci.CursorKind.PARM_DECL):
-                spelling = cur.type.get_canonical().spelling
-                if "atomic" in spelling:
-                    table.atomics.add(cur.spelling)
-                if "unordered_" in spelling:
-                    table.unordered.add(cur.spelling)
-    except Exception as e:  # defensive: clang must never break the gate
-        warnings.append(f"libclang backend degraded for {path}: {e}")
-
-
-def _augment_decls_clang_json(path, table, compile_db, warnings):
-    """Harvests declarations from `clang++ -Xclang -ast-dump=json`."""
-    try:
-        args = ["clang++", "-fsyntax-only", "-Xclang", "-ast-dump=json"]
-        for entry in compile_db or []:
-            if os.path.normpath(entry.get("file", "")) == os.path.normpath(
-                    path):
-                extra = [a for a in entry.get("command", "").split()[1:]]
-                args += [a for a in extra
-                         if a.startswith(("-I", "-D", "-std", "-isystem"))]
-                break
-        out = subprocess.run(args + [path], capture_output=True, text=True,
-                             timeout=120)
-        if out.returncode != 0 or not out.stdout:
-            return
-        ast = json.loads(out.stdout)
-
-        def walk(node):
-            if isinstance(node, dict):
-                if node.get("kind") in ("VarDecl", "FieldDecl", "ParmVarDecl"):
-                    qual = node.get("type", {}).get("qualType", "")
-                    name = node.get("name")
-                    if name:
-                        if "atomic" in qual:
-                            table.atomics.add(name)
-                        if "unordered_" in qual:
-                            table.unordered.add(name)
-                for v in node.values():
-                    walk(v)
-            elif isinstance(node, list):
-                for v in node:
-                    walk(v)
-
-        walk(ast)
-    except Exception as e:
-        warnings.append(f"clang-json backend degraded for {path}: {e}")
-
-
-# ---------------------------------------------------------------------------
 # Rule implementations. Each takes (ctx) and appends to ctx.findings.
 # ---------------------------------------------------------------------------
 
@@ -397,16 +382,16 @@ SORT_CALLS = {"sort", "stable_sort"}
 
 
 class FileContext:
-    def __init__(self, path, raw_lines, toks, decls, repo_root):
+    def __init__(self, path, raw_lines, stripped_lines, toks, decls):
         self.path = path
         self.raw_lines = raw_lines
+        self.stripped_lines = stripped_lines
         self.toks = toks
         self.decls = decls
-        self.repo_root = repo_root
         self.findings = []
 
     def report(self, lineno, rule, message):
-        if not allowed(self.raw_lines, lineno, rule, TOOL):
+        if not allowed(self.raw_lines, lineno, rule):
             self.findings.append(Finding(self.path, lineno, rule, message))
 
 
@@ -743,8 +728,48 @@ def rule_unordered_output(ctx):
                 break
 
 
+# Line rules: one pattern per rule over each comment- and string-stripped
+# line, so mentions in comments and string literals never count.
+LINE_RULES = [
+    ("no-libc-rand",
+     re.compile(r"\b(rand|srand|drand48|lrand48|random)\s*\("),
+     "libc randomness is process-global and unseeded; use util/rng.h"),
+    ("no-random-device",
+     re.compile(r"\brandom_device\b"),
+     "std::random_device is nondeterministic by design; use util/rng.h"),
+    ("no-wall-clock",
+     re.compile(r"\b(time|clock|gettimeofday|localtime|gmtime|strftime)\s*\("
+                r"|\bsystem_clock\b"),
+     "wall-clock reads leak into output; use steady_clock durations"),
+    ("no-pointer-key",
+     re.compile(r"\b(?:std\s*::\s*)?(?:multi)?(?:map|set)\s*<[^<>]*\*\s*[,>]"),
+     "pointer-keyed ordered containers iterate in allocator order"),
+    ("banned-header",
+     re.compile(r'#\s*include\s*[<"](ctime|time\.h|sys/time\.h|random)[>"]'),
+     "banned header: wall clock / stdlib randomness (use util/rng.h)"),
+]
+
+
+def rule_line_patterns(ctx):
+    for rule, pattern, message in LINE_RULES:
+        for lineno, line in enumerate(ctx.stripped_lines, start=1):
+            if pattern.search(line):
+                ctx.report(lineno, rule, message)
+
+
+_GUARD_RE = re.compile(r"#\s*ifndef\s+HYPERTREE_\w+_H_")
+
+
+def rule_include_guard(ctx):
+    if ctx.path.endswith(".h") and not any(
+            _GUARD_RE.search(line) for line in ctx.stripped_lines):
+        ctx.report(1, "include-guard",
+                   "header lacks a HYPERTREE_*_H_ include guard")
+
+
 RULES = [rule_pool_capture, rule_dcheck_purity, rule_kernel_purity,
-         rule_atomic_order, rule_no_exceptions, rule_unordered_output]
+         rule_atomic_order, rule_no_exceptions, rule_unordered_output,
+         rule_line_patterns, rule_include_guard]
 
 RULE_CATALOG = [
     ("pool-capture", "no [&]/[=]/this captures in lambdas handed to the "
@@ -756,8 +781,15 @@ RULE_CATALOG = [
     ("relaxed-publish", "relaxed ordering on publishing atomics needs a "
                         "written justification"),
     ("no-exceptions", "no throw/try/catch anywhere in the library"),
-    ("unordered-output", "no unordered-container iteration feeding output "
-                         "(AST-level)"),
+    ("unordered-output", "no unordered-container iteration feeding output"),
+    ("no-libc-rand", "no rand()/srand()/drand48()/lrand48()/random(); "
+                     "use util/rng.h"),
+    ("no-random-device", "no std::random_device"),
+    ("no-wall-clock", "no time()/clock()/gettimeofday()/system_clock/...; "
+                      "steady_clock durations only"),
+    ("no-pointer-key", "no std::map/std::set keyed by a pointer"),
+    ("banned-header", "no <ctime>, <time.h>, <sys/time.h> or <random>"),
+    ("include-guard", "headers carry a HYPERTREE_*_H_ include guard"),
 ]
 
 
@@ -765,140 +797,77 @@ RULE_CATALOG = [
 # Driver
 # ---------------------------------------------------------------------------
 
-def analyze_file(path, repo_root, backend="builtin", compile_db=None,
-                 warnings=None):
+def analyze_file(path, repo_root):
     try:
         with open(path, encoding="utf-8", errors="replace") as f:
             text = f.read()
     except OSError as e:
         print(f"error: cannot read {path}: {e}", file=sys.stderr)
         sys.exit(2)
-    raw_lines = text.splitlines()
     stripped = strip_comments_and_strings(text)
-    toks = tokenize(stripped)
-    decls = DeclTable(path, stripped.splitlines(), repo_root)
-    if backend == "libclang" and path.endswith((".cc", ".cpp")):
-        _augment_decls_libclang(path, decls, compile_db,
-                                warnings if warnings is not None else [])
-    elif backend == "clang-json" and path.endswith((".cc", ".cpp")):
-        _augment_decls_clang_json(path, decls, compile_db,
-                                  warnings if warnings is not None else [])
-    ctx = FileContext(path, raw_lines, toks, decls, repo_root)
+    stripped_lines = stripped.splitlines()
+    ctx = FileContext(path, text.splitlines(), stripped_lines,
+                      tokenize(stripped),
+                      DeclTable(path, stripped_lines, repo_root))
     for rule in RULES:
         rule(ctx)
-    ctx.findings.sort(key=Finding.key)
     return ctx.findings
-
-
-def _content_key(path, backend):
-    h = hashlib.sha256()
-    h.update(f"v{RULES_VERSION}:{backend}:".encode())
-    with open(path, "rb") as f:
-        h.update(f.read())
-    return h.hexdigest()
-
-
-def run_analysis(paths, repo_root, backend, build_dir, cache_path):
-    compile_db = _load_compile_db(build_dir) if build_dir else None
-    cache = {}
-    if cache_path and os.path.isfile(cache_path):
-        try:
-            with open(cache_path, encoding="utf-8") as f:
-                cache = json.load(f)
-        except (OSError, json.JSONDecodeError):
-            cache = {}
-    findings = []
-    warnings = []
-    new_cache = {}
-    for f in collect_files(paths):
-        key = _content_key(f, backend)
-        rel = os.path.relpath(f, repo_root)
-        if key in cache:
-            file_findings = [Finding(x["path"], x["line"], x["rule"],
-                                     x["message"])
-                             for x in cache[key]]
-        else:
-            file_findings = analyze_file(f, repo_root, backend, compile_db,
-                                         warnings)
-        new_cache[key] = [{"path": x.path, "line": x.line, "rule": x.rule,
-                           "message": x.message} for x in file_findings]
-        del rel
-        findings.extend(file_findings)
-    if cache_path:
-        try:
-            with open(cache_path, "w", encoding="utf-8") as f:
-                json.dump(new_cache, f)
-        except OSError as e:
-            warnings.append(f"cannot write cache {cache_path}: {e}")
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    findings.sort(key=Finding.key)
-    return findings
 
 
 EXPECT_RE = re.compile(r"//\s*expect-analyze:\s*([a-z0-9-]+)")
 
 
-def self_test(repo_root, backend):
+def self_test(repo_root):
+    """Every file under tests/analyze_fixtures/good must be clean, and each
+    file under bad/ must produce exactly the multiset of rules its
+    `// expect-analyze: <rule>` markers declare."""
     fixtures = os.path.join(repo_root, "tests", "analyze_fixtures")
-    return run_fixture_suite(
-        os.path.join(fixtures, "good"), os.path.join(fixtures, "bad"),
-        lambda f: analyze_file(f, repo_root, backend="builtin"),
-        EXPECT_RE, "ht-analyze")
+    ok = True
+    for f in collect_files([os.path.join(fixtures, "good")]):
+        for finding in analyze_file(f, repo_root):
+            print(f"SELF-TEST FAIL (false positive): {finding}")
+            ok = False
+    for f in collect_files([os.path.join(fixtures, "bad")]):
+        with open(f, encoding="utf-8") as fh:
+            expected = sorted(EXPECT_RE.findall(fh.read()))
+        if not expected:
+            print(f"SELF-TEST FAIL: {f} declares no expect-analyze marker")
+            ok = False
+            continue
+        actual = sorted(x.rule for x in analyze_file(f, repo_root))
+        if actual != expected:
+            print(f"SELF-TEST FAIL: {f}: expected rules {expected}, "
+                  f"got {actual}")
+            ok = False
+    print("ht-analyze self-test:", "PASS" if ok else "FAIL")
+    return ok
 
 
 def main(argv):
-    script_dir = os.path.dirname(os.path.abspath(__file__))
-    repo_root = os.path.dirname(script_dir)
-    backend_req = "auto"
-    build_dir = None
-    cache_path = None
+    repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     paths = []
     for a in argv:
         if a == "--list-rules":
             for rule_id, desc in RULE_CATALOG:
                 print(f"{rule_id:18s} {desc}")
             return 0
-        if a.startswith("--backend="):
-            backend_req = a.split("=", 1)[1]
-        elif a.startswith("--build-dir="):
-            build_dir = a.split("=", 1)[1]
-        elif a.startswith("--cache="):
-            cache_path = a.split("=", 1)[1]
-        elif a == "--self-test":
-            backend = pick_backend(backend_req)
-            return 0 if self_test(repo_root, backend) else 1
-        elif a.startswith("--"):
+        if a == "--self-test":
+            return 0 if self_test(repo_root) else 1
+        if a.startswith("--"):
             print(f"error: unknown flag {a}", file=sys.stderr)
             return 2
-        else:
-            paths.append(a)
-    if backend_req not in ("auto", "builtin", "libclang", "clang-json"):
-        print(f"error: unknown backend {backend_req}", file=sys.stderr)
-        return 2
-    backend = pick_backend(backend_req)
-    if backend == "libclang" and not _libclang_available():
-        print("error: --backend=libclang but clang.cindex is not importable",
-              file=sys.stderr)
-        return 2
-    if backend == "clang-json" and not _clang_json_available():
-        print("error: --backend=clang-json but clang++ is not on PATH",
-              file=sys.stderr)
-        return 2
-    if build_dir is None:
-        default_build = os.path.join(repo_root, "build")
-        if os.path.isfile(os.path.join(default_build,
-                                       "compile_commands.json")):
-            build_dir = default_build
+        paths.append(a)
     if not paths:
         paths = [os.path.join(repo_root, d) for d in DEFAULT_DIRS]
-    findings = run_analysis(paths, repo_root, backend, build_dir, cache_path)
+    findings = []
+    for f in collect_files(paths):
+        findings.extend(analyze_file(f, repo_root))
+    findings.sort(key=Finding.key)
     for finding in findings:
         print(finding)
     if findings:
-        print(f"\n{len(findings)} ht-analyze finding(s) [backend: {backend}]."
-              f" Suppress a justified use with "
-              f"'// ht-analyze: allow(<rule>)'.")
+        print(f"\n{len(findings)} ht-analyze finding(s). Suppress a justified "
+              f"use with '// ht-analyze: allow(<rule>)'.")
         return 1
     return 0
 

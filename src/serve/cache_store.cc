@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -97,7 +98,64 @@ bool WriteFileAtomic(const std::string& path, const std::string& data,
   return true;
 }
 
+// Reads the integer meta field `name` into `*out`, leaving `*out` as is
+// when the field is absent. False when the field is not an integer in
+// [0, max]; the range is checked on the parsed value before it narrows.
+bool ReadMetaInt(const Json& meta, const char* name, long max, int* out) {
+  const Json* field = meta.Find(name);
+  if (field == nullptr) return true;
+  if (field->type() != Json::Type::kInt) return false;
+  const long value = field->AsInt();
+  if (value < 0 || value > max) return false;
+  *out = static_cast<int>(value);
+  return true;
+}
+
 }  // namespace
+
+std::optional<StoredWitness> ParseStoredMeta(const std::string& meta_text,
+                                             const std::string& canonical_text,
+                                             std::string* error) {
+  std::string parse_error;
+  std::optional<Json> meta = Json::Parse(meta_text, &parse_error);
+  if (!meta.has_value()) {
+    SetError(error, "corrupt meta: " + parse_error);
+    return std::nullopt;
+  }
+  if (!meta->is_object()) {
+    SetError(error, "corrupt meta: not a JSON object");
+    return std::nullopt;
+  }
+  const Json* stored_instance = meta->Find("instance");
+  if (stored_instance == nullptr ||
+      stored_instance->AsString() != canonical_text) {
+    // Either truncated meta or a (vanishingly unlikely) hash collision:
+    // the entry is not for this instance, so it must not answer.
+    SetError(error, "instance text mismatch");
+    return std::nullopt;
+  }
+  StoredWitness witness;
+  constexpr long kMaxCount = std::numeric_limits<int>::max();
+  const struct {
+    const char* name;
+    int* out;
+    long max;
+  } fields[] = {{"width", &witness.meta.width, kFieldMask},
+                {"lower_bound", &witness.meta.lower_bound, kFieldMask},
+                {"vertices", &witness.vertices, kMaxCount},
+                {"edges", &witness.edges, kMaxCount}};
+  for (const auto& field : fields) {
+    if (!ReadMetaInt(*meta, field.name, field.max, field.out)) {
+      SetError(error, std::string("corrupt meta: ") + field.name +
+                          " is not an integer in [0, " +
+                          std::to_string(field.max) + "]");
+      return std::nullopt;
+    }
+  }
+  if (const Json* f = meta->Find("exact")) witness.meta.exact = f->AsBool();
+  if (const Json* f = meta->Find("solver")) witness.solver = f->AsString();
+  return witness;
+}
 
 int PackMeta(const WitnessMeta& meta) {
   HT_CHECK(meta.width >= 0 && meta.width <= kFieldMask)
@@ -226,47 +284,19 @@ std::optional<StoredWitness> PersistentCacheStore::Load(
   std::string meta_text;
   if (!ReadFileToString(meta_path, &meta_text)) return std::nullopt;
 
-  std::string parse_error;
-  std::optional<Json> meta_json = Json::Parse(meta_text, &parse_error);
-  if (!meta_json.has_value() || !meta_json->is_object()) {
-    SetError(error, "corrupt meta " + meta_path + ": " + parse_error);
+  std::string why;
+  std::optional<StoredWitness> witness =
+      ParseStoredMeta(meta_text, canonical_text, &why);
+  if (!witness.has_value()) {
+    SetError(error, why + " for key " + key);
     return std::nullopt;
   }
-  const Json* stored_instance = meta_json->Find("instance");
-  if (stored_instance == nullptr ||
-      stored_instance->AsString() != canonical_text) {
-    // Either truncated meta or a (vanishingly unlikely) hash collision:
-    // the entry is not for this instance, so it must not answer.
-    SetError(error, "instance text mismatch for key " + key);
-    return std::nullopt;
-  }
-
-  StoredWitness witness;
-  if (const Json* f = meta_json->Find("width")) {
-    witness.meta.width = static_cast<int>(f->AsInt());
-  }
-  if (const Json* f = meta_json->Find("lower_bound")) {
-    witness.meta.lower_bound = static_cast<int>(f->AsInt());
-  }
-  if (const Json* f = meta_json->Find("exact")) {
-    witness.meta.exact = f->AsBool();
-  }
-  if (const Json* f = meta_json->Find("vertices")) {
-    witness.vertices = static_cast<int>(f->AsInt());
-  }
-  if (const Json* f = meta_json->Find("edges")) {
-    witness.edges = static_cast<int>(f->AsInt());
-  }
-  if (const Json* f = meta_json->Find("solver")) {
-    witness.solver = f->AsString();
-  }
-
-  if (!ReadFileToString(EntryPath(key, ".ghd"), &witness.witness_text)) {
+  if (!ReadFileToString(EntryPath(key, ".ghd"), &witness->witness_text)) {
     SetError(error, "meta present but witness missing for key " + key);
     return std::nullopt;
   }
   std::string ghd_error;
-  if (!ReadGhdFromString(witness.witness_text, &ghd_error).has_value()) {
+  if (!ReadGhdFromString(witness->witness_text, &ghd_error).has_value()) {
     SetError(error, "corrupt witness for key " + key + ": " + ghd_error);
     return std::nullopt;
   }

@@ -70,6 +70,17 @@ struct StoredWitness {
   std::string solver;  // e.g. "portfolio"
 };
 
+/// Parses the text of a stored meta file (K.json) for the instance whose
+/// canonical text is `canonical_text`, touching no file. Returns the
+/// entry's meta, counts and solver with an empty witness_text, or
+/// nullopt with the reason in `*error` (when non-null) when the text is
+/// not a JSON object, names another instance, or holds a width, lower
+/// bound or count that is not a non-negative integer in range. Every
+/// accepted meta packs: width and lower bound fit PackMeta's 15 bits.
+std::optional<StoredWitness> ParseStoredMeta(const std::string& meta_text,
+                                             const std::string& canonical_text,
+                                             std::string* error = nullptr);
+
 /// The on-disk level. All methods are safe against concurrent readers
 /// of the same directory; concurrent writers of the SAME key race
 /// benignly (last rename wins with identical content).

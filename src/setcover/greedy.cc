@@ -9,18 +9,12 @@ namespace hypertree {
 
 namespace {
 
-// Shared scan core: `active == nullptr` scans every candidate, otherwise
-// only the `count` listed indices. Pick sequence, tie-breaking draws and
-// the result are identical between the two whenever the active list
-// contains every candidate intersecting the target — sets that never
-// intersect the uncovered remainder score cover == 0, draw no rng ticks
-// and can never be picked, so dropping them is invisible.
-
 // Specialization for universes of at most 64 elements: the whole scan
 // runs on plain words.
 int GreedySetCover1Word(const std::vector<Bitset>& candidates,
-                        const int* active, int count, const Bitset& target,
-                        Rng* rng, std::vector<int>* chosen) {
+                        const Bitset& target, Rng* rng,
+                        std::vector<int>* chosen) {
+  const int count = static_cast<int>(candidates.size());
   uint64_t uncovered = target.NumWords() > 0 ? target.Word(0) : 0;
   int used = 0;
   if (count <= 64) {
@@ -33,11 +27,10 @@ int GreedySetCover1Word(const std::vector<Bitset>& candidates,
     while (uncovered != 0) {
       int best = -1, best_cover = 0, ties = 0;
       for (uint64_t m = live; m != 0; m &= m - 1) {
-        int t = __builtin_ctzll(m);
-        int i = active == nullptr ? t : active[t];
+        int i = __builtin_ctzll(m);
         int cover = __builtin_popcountll(candidates[i].Word(0) & uncovered);
         if (cover == 0) {
-          live &= ~(uint64_t{1} << t);
+          live &= ~(uint64_t{1} << i);
           continue;
         }
         if (cover > best_cover) {
@@ -58,8 +51,7 @@ int GreedySetCover1Word(const std::vector<Bitset>& candidates,
   }
   while (uncovered != 0) {
     int best = -1, best_cover = 0, ties = 0;
-    for (int t = 0; t < count; ++t) {
-      int i = active == nullptr ? t : active[t];
+    for (int i = 0; i < count; ++i) {
       int cover = __builtin_popcountll(candidates[i].Word(0) & uncovered);
       if (cover > best_cover) {
         best = i;
@@ -78,19 +70,20 @@ int GreedySetCover1Word(const std::vector<Bitset>& candidates,
   return used;
 }
 
-int GreedySetCoverImpl(const std::vector<Bitset>& candidates,
-                       const int* active, int count, const Bitset& target,
-                       Rng* rng, std::vector<int>* chosen) {
+}  // namespace
+
+int GreedySetCover(const std::vector<Bitset>& candidates, const Bitset& target,
+                   Rng* rng, std::vector<int>* chosen) {
   if (chosen != nullptr) chosen->clear();
   if (target.NumWords() <= 1) {
-    return GreedySetCover1Word(candidates, active, count, target, rng, chosen);
+    return GreedySetCover1Word(candidates, target, rng, chosen);
   }
+  const int count = static_cast<int>(candidates.size());
   Bitset uncovered = target;
   int used = 0;
   while (uncovered.Any()) {
     int best = -1, best_cover = 0, ties = 0;
-    for (int t = 0; t < count; ++t) {
-      int i = active == nullptr ? t : active[t];
+    for (int i = 0; i < count; ++i) {
       int cover = candidates[i].IntersectCount(uncovered);
       if (cover > best_cover) {
         best = i;
@@ -107,87 +100,6 @@ int GreedySetCoverImpl(const std::vector<Bitset>& candidates,
     if (chosen != nullptr) chosen->push_back(best);
   }
   return used;
-}
-
-// Mask-restricted variant: iterates the set bits of `active` each round
-// (ascending, matching the vector form) instead of an index list. Split
-// like Impl on the universe size so one-word targets stay on plain words.
-int GreedySetCoverMask(const std::vector<Bitset>& candidates,
-                       const Bitset& active, const Bitset& target, Rng* rng,
-                       std::vector<int>* chosen) {
-  if (chosen != nullptr) chosen->clear();
-  int used = 0;
-  const int mask_words = active.NumWords();
-  if (target.NumWords() <= 1) {
-    uint64_t uncovered = target.NumWords() > 0 ? target.Word(0) : 0;
-    while (uncovered != 0) {
-      int best = -1, best_cover = 0, ties = 0;
-      for (int wi = 0; wi < mask_words; ++wi) {
-        for (uint64_t m = active.Word(wi); m != 0; m &= m - 1) {
-          int i = wi * 64 + __builtin_ctzll(m);
-          int cover = __builtin_popcountll(candidates[i].Word(0) & uncovered);
-          if (cover > best_cover) {
-            best = i;
-            best_cover = cover;
-            ties = 1;
-          } else if (cover == best_cover && cover > 0 && rng != nullptr) {
-            ++ties;
-            if (rng->UniformInt(ties) == 0) best = i;
-          }
-        }
-      }
-      HT_CHECK_MSG(best >= 0, "target not coverable by candidate sets");
-      uncovered &= ~candidates[best].Word(0);
-      ++used;
-      if (chosen != nullptr) chosen->push_back(best);
-    }
-    return used;
-  }
-  Bitset uncovered = target;
-  while (uncovered.Any()) {
-    int best = -1, best_cover = 0, ties = 0;
-    for (int wi = 0; wi < mask_words; ++wi) {
-      for (uint64_t m = active.Word(wi); m != 0; m &= m - 1) {
-        int i = wi * 64 + __builtin_ctzll(m);
-        int cover = candidates[i].IntersectCount(uncovered);
-        if (cover > best_cover) {
-          best = i;
-          best_cover = cover;
-          ties = 1;
-        } else if (cover == best_cover && cover > 0 && rng != nullptr) {
-          ++ties;
-          if (rng->UniformInt(ties) == 0) best = i;
-        }
-      }
-    }
-    HT_CHECK_MSG(best >= 0, "target not coverable by candidate sets");
-    uncovered -= candidates[best];
-    ++used;
-    if (chosen != nullptr) chosen->push_back(best);
-  }
-  return used;
-}
-
-}  // namespace
-
-int GreedySetCover(const std::vector<Bitset>& candidates, const Bitset& target,
-                   Rng* rng, std::vector<int>* chosen) {
-  return GreedySetCoverImpl(candidates, nullptr,
-                            static_cast<int>(candidates.size()), target, rng,
-                            chosen);
-}
-
-int GreedySetCover(const std::vector<Bitset>& candidates,
-                   const std::vector<int>& active, const Bitset& target,
-                   Rng* rng, std::vector<int>* chosen) {
-  return GreedySetCoverImpl(candidates, active.data(),
-                            static_cast<int>(active.size()), target, rng,
-                            chosen);
-}
-
-int GreedySetCover(const std::vector<Bitset>& candidates, const Bitset& active,
-                   const Bitset& target, Rng* rng, std::vector<int>* chosen) {
-  return GreedySetCoverMask(candidates, active, target, rng, chosen);
 }
 
 int GreedySetCoverRows(const uint64_t* rows, size_t stride, int nrows,

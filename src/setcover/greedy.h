@@ -32,36 +32,17 @@ struct GreedyCoverScratch {
 int GreedySetCover(const std::vector<Bitset>& candidates, const Bitset& target,
                    Rng* rng = nullptr, std::vector<int>* chosen = nullptr);
 
-/// Restricted variant: only the candidates listed in `active` (ascending
-/// original indices, typically the edges an incidence index reports as
-/// touching the target) are scanned; `chosen` still receives positions
-/// into `candidates`. When `active` contains every candidate that
-/// intersects `target`, the picks, the rng tie-break draw sequence and
-/// the result are bit-identical to the full scan — candidates disjoint
-/// from the uncovered remainder score zero and influence nothing.
-int GreedySetCover(const std::vector<Bitset>& candidates,
-                   const std::vector<int>& active, const Bitset& target,
-                   Rng* rng = nullptr, std::vector<int>* chosen = nullptr);
-
-/// Same restriction with the active candidates given as a bitmask over
-/// candidate indices, so hot callers can pass an incidence-index row
-/// without materializing an index vector first. Scans in ascending index
-/// order — picks, draws and result are identical to the vector form over
-/// the same active set.
-int GreedySetCover(const std::vector<Bitset>& candidates, const Bitset& active,
-                   const Bitset& target, Rng* rng = nullptr,
-                   std::vector<int>* chosen = nullptr);
-
 /// Kernel-backed greedy cover over a flat row arena (candidate i = row i
 /// at rows + i * stride, NumWords(target) words wide — e.g. the
 /// incidence index's EdgeVarRows()). Each round scores every live
 /// candidate with one batched kernel call (src/kernels), then replays
-/// the same ascending pick / tie-break scan as the vector overloads.
+/// the same ascending pick / tie-break scan as the vector form.
 /// `active` restricts the scan to the set candidate indices (nullptr:
 /// all `nrows`). Candidates whose score hits zero retire permanently —
 /// the uncovered set only shrinks, so they can never be picked and never
 /// draw a tie-break tick. Picks, rng draw sequence and result are
-/// bit-identical to the vector overloads over the same candidate sets.
+/// bit-identical to the vector form over all candidates whenever
+/// `active` holds every candidate that intersects `target`.
 int GreedySetCoverRows(const uint64_t* rows, size_t stride, int nrows,
                        const Bitset* active, const Bitset& target,
                        Rng* rng, std::vector<int>* chosen,

@@ -31,9 +31,9 @@ void OneLineOnly() {
 }
 
 void WrongToolPrefix() {
-  // A `lint:` suppression belongs to the determinism lint, not to
-  // ht-analyze; it must not silence this rule.
-  // lint: allow(atomic-order)
+  // Only the `ht-analyze:` prefix suppresses; a comment with any other
+  // prefix must not silence this rule.
+  // analyze: allow(atomic-order)
   int c = flag.load();
   (void)c;
 }

@@ -1,4 +1,4 @@
 // Fixture: the wall-clock header itself is banned.
-#include <ctime>  // expect-lint: banned-header
+#include <ctime>  // expect-analyze: banned-header
 
 int Unused() { return 0; }

@@ -1,4 +1,4 @@
 // Fixture: libc randomness must be flagged.
 int Roll() {
-  return rand() % 6;  // expect-lint: no-libc-rand
+  return rand() % 6;  // expect-analyze: no-libc-rand
 }

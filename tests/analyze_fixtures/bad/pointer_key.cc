@@ -5,8 +5,8 @@
 struct Node {};
 
 int CountOrdered(Node* a, Node* b) {
-  std::map<Node*, int> order;  // expect-lint: no-pointer-key
-  std::set<const Node*> seen;  // expect-lint: no-pointer-key
+  std::map<Node*, int> order;  // expect-analyze: no-pointer-key
+  std::set<const Node*> seen;  // expect-analyze: no-pointer-key
   order[a] = 1;
   order[b] = 2;
   seen.insert(a);

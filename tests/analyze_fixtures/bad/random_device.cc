@@ -1,7 +1,7 @@
 // Fixture: hardware entropy must be flagged (both the header and the use).
-#include <random>  // expect-lint: banned-header
+#include <random>  // expect-analyze: banned-header
 
 int Seed() {
-  std::random_device rd;  // expect-lint: no-random-device
+  std::random_device rd;  // expect-analyze: no-random-device
   return static_cast<int>(rd());
 }

@@ -6,7 +6,7 @@
 
 void DumpCounters(const std::unordered_map<std::string, long>& input) {
   std::unordered_map<std::string, long> counters = input;
-  for (const auto& [name, value] : counters) {  // expect-lint: unordered-output
+  for (const auto& [name, value] : counters) {  // expect-analyze: unordered-output
     std::printf("%s=%ld\n", name.c_str(), value);
   }
 }

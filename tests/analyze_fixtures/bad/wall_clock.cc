@@ -2,5 +2,5 @@
 #include <cstdint>
 
 uint64_t Stamp() {
-  return static_cast<uint64_t>(time(nullptr));  // expect-lint: no-wall-clock
+  return static_cast<uint64_t>(time(nullptr));  // expect-analyze: no-wall-clock
 }

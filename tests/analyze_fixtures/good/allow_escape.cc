@@ -1,10 +1,10 @@
 // Fixture: the inline escape hatch must suppress a deliberate use, both
 // on the offending line and on the line directly above.
 int DeliberateRand() {
-  return rand();  // lint: allow(no-libc-rand)
+  return rand();  // ht-analyze: allow(no-libc-rand)
 }
 
 int DeliberateRandAbove() {
-  // lint: allow(no-libc-rand)
+  // ht-analyze: allow(no-libc-rand)
   return rand();
 }

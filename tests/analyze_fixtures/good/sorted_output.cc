@@ -1,5 +1,5 @@
 // Fixture: sorting the keys before emission is the sanctioned pattern —
-// the linter must stay quiet here.
+// the analyzer must stay quiet here.
 #include <algorithm>
 #include <cstdio>
 #include <string>

@@ -9,6 +9,7 @@
 #include "ghd/branch_and_bound.h"
 #include "ghd/ghw_from_ordering.h"
 #include "hypergraph/generators.h"
+#include "portfolio/portfolio.h"
 #include "util/rng.h"
 
 namespace hypertree {
@@ -82,6 +83,17 @@ TEST_P(GhwExactAgreementTest, BbAStarAndBruteForceAgree) {
   EXPECT_TRUE(as.exact) << "seed " << seed;
   EXPECT_EQ(bb.upper_bound, brute) << "BB seed " << seed;
   EXPECT_EQ(as.upper_bound, brute) << "A* seed " << seed;
+  // The racing portfolio, at the default budget, proves the same width
+  // whatever the racing thread count.
+  for (int threads : {1, 2}) {
+    PortfolioOptions options;
+    options.threads = threads;
+    PortfolioResult portfolio = PortfolioGhw(h, options);
+    EXPECT_TRUE(portfolio.result.exact)
+        << "portfolio threads " << threads << " seed " << seed;
+    EXPECT_EQ(portfolio.result.upper_bound, brute)
+        << "portfolio threads " << threads << " seed " << seed;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GhwExactAgreementTest,

@@ -4,8 +4,10 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include "ordering/heuristics.h"
 #include "search/decomp_cache.h"
 #include "serve/instance_hash.h"
+#include "util/json.h"
 #include "util/rng.h"
 
 namespace hypertree {
@@ -24,6 +27,7 @@ using serve::CanonicalWitnessText;
 using serve::GhdFromSubtree;
 using serve::NormalizeInstance;
 using serve::PackMeta;
+using serve::ParseStoredMeta;
 using serve::PersistentCacheStore;
 using serve::StoredWitness;
 using serve::SubtreeFromGhd;
@@ -50,6 +54,52 @@ TEST(ServeCacheTest, MetaPackRoundTrip) {
       }
     }
   }
+}
+
+TEST(ServeCacheTest, ParseStoredMetaRejectsUnpackableFields) {
+  const std::string canonical = "% n=2 m=1\ne1(v1,v2).\n";
+  Json meta = Json::Object();
+  meta.Set("width", 2);
+  meta.Set("lower_bound", 1);
+  meta.Set("exact", true);
+  meta.Set("vertices", 2);
+  meta.Set("edges", 1);
+  meta.Set("solver", "portfolio");
+  meta.Set("instance", canonical);
+  std::string error;
+  std::optional<StoredWitness> parsed =
+      ParseStoredMeta(meta.Dump(), canonical, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  EXPECT_TRUE(parsed->witness_text.empty());
+  EXPECT_EQ(parsed->meta.width, 2);
+  EXPECT_EQ(parsed->meta.lower_bound, 1);
+  EXPECT_TRUE(parsed->meta.exact);
+  EXPECT_EQ(parsed->vertices, 2);
+  EXPECT_EQ(parsed->edges, 1);
+  EXPECT_EQ(parsed->solver, "portfolio");
+
+  // Fields PackMeta could not pack, and counts that are not
+  // non-negative ints, make the entry corrupt instead of aborting later.
+  const std::vector<std::pair<std::string, Json>> corrupt_fields = {
+      {"width", Json(1 << 15)},     {"width", Json(-1)},
+      {"width", Json(2.5)},         {"lower_bound", Json(40000)},
+      {"lower_bound", Json(-1)},    {"vertices", Json(-3)},
+      {"edges", Json(1L << 40)},    {"edges", Json("1")}};
+  for (const auto& [field, value] : corrupt_fields) {
+    Json corrupt = meta;
+    corrupt.Set(field, value);
+    error.clear();
+    EXPECT_FALSE(
+        ParseStoredMeta(corrupt.Dump(), canonical, &error).has_value())
+        << field << "=" << value.Dump();
+    EXPECT_NE(error.find("corrupt meta: " + field), std::string::npos)
+        << error;
+  }
+  EXPECT_FALSE(
+      ParseStoredMeta(meta.Dump(), canonical + "x", &error).has_value());
+  EXPECT_NE(error.find("mismatch"), std::string::npos) << error;
+  EXPECT_FALSE(ParseStoredMeta("[2,1]", canonical, &error).has_value());
+  EXPECT_NE(error.find("not a JSON object"), std::string::npos) << error;
 }
 
 TEST(ServeCacheTest, SubtreeRoundTripIsByteIdentical) {

@@ -77,6 +77,52 @@ TEST(ServeServiceTest, SolvedThenMemoryThenDiskAnswerIdenticalWitnesses) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ServeServiceTest, OutOfRangeStoredMetaIsAMissNotAnAbort) {
+  // A stored width or lower bound the memory level cannot pack (15 bits,
+  // non-negative) marks the disk entry corrupt: a fresh service must
+  // solve the instance again instead of promoting the entry.
+  const std::string dir =
+      ::testing::TempDir() + "serve_service_test_corrupt_meta";
+  std::filesystem::remove_all(dir);
+  const std::string instance = InstanceText(CycleHypergraph(3, 2));
+  CancellationToken cancel;
+  ServerOptions options;
+  options.cache_dir = dir;
+
+  Json cold = DecompositionService(options).Handle(DecomposeRequest(instance),
+                                                   cancel);
+  ASSERT_EQ(Field(cold, "status"), "ok") << cold.Dump();
+  ASSERT_EQ(Field(cold, "source"), "solved");
+  const std::string key = Field(cold, "key");
+  const std::string meta_path =
+      dir + "/" + key.substr(0, 2) + "/" + key + ".json";
+  std::string meta_text;
+  {
+    std::ifstream in(meta_path);
+    ASSERT_TRUE(in.good()) << meta_path;
+    std::getline(in, meta_text);
+  }
+
+  for (const char* field : {"width", "lower_bound"}) {
+    for (long value : {40000L, -1L}) {
+      std::optional<Json> meta = Json::Parse(meta_text);
+      ASSERT_TRUE(meta.has_value());
+      meta->Set(field, value);
+      {
+        std::ofstream out(meta_path, std::ios::trunc);
+        out << meta->Dump() << "\n";
+      }
+      Json again = DecompositionService(options).Handle(
+          DecomposeRequest(instance), cancel);
+      EXPECT_EQ(Field(again, "status"), "ok") << field << "=" << value;
+      EXPECT_EQ(Field(again, "source"), "solved") << field << "=" << value;
+      EXPECT_EQ(again.Find("width")->AsInt(), cold.Find("width")->AsInt());
+      EXPECT_EQ(Field(again, "witness"), Field(cold, "witness"));
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ServeServiceTest, RenamedInstanceHitsTheSameEntry) {
   Hypergraph h = RandomHypergraph(16, 20, 2, 4, 23);
   // Reverse vertex ids and edge order: same structure, different text.

@@ -1,8 +1,12 @@
 #include "setcover/exact.h"
 #include "setcover/greedy.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "kernels/kernels.h"
 #include "util/rng.h"
 
 namespace hypertree {
@@ -43,46 +47,66 @@ TEST(GreedyCoverTest, ClassicLogFactorInstance) {
   EXPECT_GE(greedy, exact);
 }
 
-// The mask-restricted overload must match the index-vector form exactly:
-// same count, same picks, same rng draw sequence afterwards. Universes
-// above 64 elements exercise the multi-word scan.
-TEST(GreedyCoverTest, MaskOverloadMatchesVectorForm) {
-  for (int universe : {10, 70, 130}) {
-    Rng gen(universe);
-    std::vector<std::vector<int>> raw;
-    for (int s = 0; s < 3 * universe / 2; ++s) {
-      std::vector<int> elems;
-      for (int e = 0; e < universe; ++e)
-        if (gen.Next() % 4 == 0) elems.push_back(e);
-      raw.push_back(elems);
-    }
-    // Guarantee coverability whatever the random draw produced.
-    std::vector<int> all(universe);
-    for (int e = 0; e < universe; ++e) all[e] = e;
-    raw.push_back(all);
-    auto sets = Sets(universe, raw);
-    Bitset target(universe);
-    for (int e = 0; e < universe; ++e)
-      if (gen.Next() % 2 == 0) target.Set(e);
-    // Restrict to the sets that intersect the target, plus a few
-    // non-intersecting ones (which must influence nothing).
-    std::vector<int> active_list;
-    Bitset active_mask(static_cast<int>(sets.size()));
-    for (size_t s = 0; s < sets.size(); ++s) {
-      if (sets[s].Intersects(target) || s % 5 == 0) {
-        active_list.push_back(static_cast<int>(s));
-        active_mask.Set(static_cast<int>(s));
+// GreedySetCoverRows, the searches' kernel-backed path, must match the
+// vector form over all candidates exactly: same count, same picks, same
+// rng draw afterwards. Universes above 64 elements run the multi-word
+// scan and more than 64 candidates the live-list scan; the active mask
+// holds the candidates meeting the target plus some disjoint ones, which
+// must influence nothing.
+TEST(GreedyCoverTest, RowsFormMatchesVectorForm) {
+  GreedyCoverScratch scratch;
+  for (int universe : {10, 64, 70, 130}) {
+    const int nwords = Bitset(universe).NumWords();
+    const size_t stride = static_cast<size_t>(kernels::PaddedWords(nwords));
+    for (int num_sets : {12, 64, 90}) {
+      for (uint64_t seed = 1; seed <= 32; ++seed) {
+        Rng gen(seed * 1000 + universe * 7 + num_sets);
+        std::vector<Bitset> sets;
+        Bitset coverable(universe);
+        kernels::WordArena rows(num_sets * stride);
+        for (int s = 0; s < num_sets; ++s) {
+          Bitset b(universe);
+          for (int e = 0; e < universe; ++e) {
+            if (gen.UniformInt(4) == 0) b.Set(e);
+          }
+          for (int w = 0; w < nwords; ++w) {
+            rows.data()[s * stride + w] = b.Word(w);
+          }
+          coverable |= b;
+          sets.push_back(b);
+        }
+        // A random part of what the candidates cover, so some of them
+        // miss it entirely.
+        Bitset target(universe);
+        for (int e = 0; e < universe; ++e) {
+          if (coverable.Test(e) && gen.UniformInt(3) == 0) target.Set(e);
+        }
+        Bitset active(num_sets);
+        for (int s = 0; s < num_sets; ++s) {
+          if (sets[s].Intersects(target) || s % 5 == 0) active.Set(s);
+        }
+        Rng rng_vector(seed);
+        std::vector<int> chosen_vector;
+        const int k_vector =
+            GreedySetCover(sets, target, &rng_vector, &chosen_vector);
+        const uint64_t next_vector = rng_vector.Next();
+        for (const Bitset* mask : {static_cast<const Bitset*>(nullptr),
+                                   static_cast<const Bitset*>(&active)}) {
+          Rng rng_rows(seed);
+          std::vector<int> chosen_rows;
+          const int k_rows =
+              GreedySetCoverRows(rows.data(), stride, num_sets, mask, target,
+                                 &rng_rows, &chosen_rows, &scratch);
+          const std::string where = "universe " + std::to_string(universe) +
+                                    " sets " + std::to_string(num_sets) +
+                                    " seed " + std::to_string(seed) +
+                                    (mask != nullptr ? " masked" : "");
+          EXPECT_EQ(k_rows, k_vector) << where;
+          EXPECT_EQ(chosen_rows, chosen_vector) << where;
+          EXPECT_EQ(rng_rows.Next(), next_vector) << where;
+        }
       }
     }
-    Rng rng_list(7), rng_mask(7);
-    std::vector<int> chosen_list, chosen_mask;
-    int k_list =
-        GreedySetCover(sets, active_list, target, &rng_list, &chosen_list);
-    int k_mask =
-        GreedySetCover(sets, active_mask, target, &rng_mask, &chosen_mask);
-    EXPECT_EQ(k_list, k_mask) << "universe " << universe;
-    EXPECT_EQ(chosen_list, chosen_mask) << "universe " << universe;
-    EXPECT_EQ(rng_list.Next(), rng_mask.Next()) << "universe " << universe;
   }
 }
 
