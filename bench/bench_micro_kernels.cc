@@ -184,16 +184,16 @@ void BM_ExtractFeaturesTable8Set(benchmark::State& state) {
 }
 BENCHMARK(BM_ExtractFeaturesTable8Set);
 
-// A deterministic row-major arena for the kernel benchmarks: nrows
+// A deterministic row-major arena for the kernel benchmarks: num_rows
 // rows of nbits bits at a PaddedWords stride, random fill, tail bits
 // of the last logical word kept zero (padded-capacity contract).
 struct KernelFixture {
-  KernelFixture(int nrows, int nbits, uint64_t seed)
-      : nrows(nrows),
+  KernelFixture(int num_rows, int nbits, uint64_t seed)
+      : nrows(num_rows),
         nwords((nbits + 63) / 64),
         stride(kernels::PaddedWords(nwords)),
-        mask_words((nrows + 63) / 64),
-        rows(static_cast<size_t>(nrows) * stride),
+        mask_words((num_rows + 63) / 64),
+        rows(static_cast<size_t>(num_rows) * stride),
         mask(kernels::PaddedWords(mask_words)),
         filter(kernels::PaddedWords(nwords)) {
     Rng rng(seed);

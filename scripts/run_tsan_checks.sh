@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Builds the concurrency-sensitive targets under ThreadSanitizer and runs
-# the tests that exercise the thread pool and the shared decomposition
-# cache, plus the end-to-end determinism suite (which drives the parallel
-# det-k root search), the pooled bag materialization (morsel loops
+# the tests that exercise the thread pool and the service's shared
+# decomposition cache, plus the portfolio race (engines on a pool, each
+# calling the kernels), the pooled bag materialization (morsel loops
 # nested inside the per-bag fan-out) and weighted counting (morsel-parallel
 # key coding of each child inside the per-subtree fan-out).
 #
@@ -20,7 +20,7 @@ cmake -S "${repo_root}" -B "${build_dir}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DHYPERTREE_SANITIZE=thread >/dev/null
 
-tests=(thread_pool_test decomp_cache_test search_acceleration_test
+tests=(thread_pool_test decomp_cache_test
        relation_kernel_test parallel_yannakakis_test shared_bounds_test
        portfolio_test morsel_engine_test decomposition_solving_test
        counting_test)

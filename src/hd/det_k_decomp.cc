@@ -1,11 +1,9 @@
 #include "hd/det_k_decomp.h"
 
 #include <algorithm>
-#include <atomic>
-#include <climits>
+#include <cstdint>
 #include <deque>
-#include <functional>
-#include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -15,7 +13,6 @@
 #include "search/decomp_cache.h"
 #include "util/check.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace hypertree {
@@ -29,7 +26,7 @@ namespace {
 constexpr size_t kVarsMemoMaxEntries = 1 << 16;
 
 // Registry counters for the observability layer; resolved once, bumped
-// with relaxed atomics on the hot paths.
+// on the hot paths.
 metrics::Counter& DecomposeCallsMetric() {
   static metrics::Counter& c = metrics::GetCounter("detk.decompose_calls");
   return c;
@@ -40,10 +37,6 @@ metrics::Counter& SeparatorAttemptsMetric() {
 }
 metrics::Counter& SpliceMetric() {
   static metrics::Counter& c = metrics::GetCounter("detk.cache_splices");
-  return c;
-}
-metrics::Counter& RootTasksMetric() {
-  static metrics::Counter& c = metrics::GetCounter("detk.root_tasks");
   return c;
 }
 metrics::Counter& VarsMemoHitsMetric() {
@@ -60,25 +53,30 @@ metrics::Counter& ScratchBytesMetric() {
   return c;
 }
 
-// Read-only problem description shared by all search workers. The
-// incidence index is immutable, so sharing it across pool threads is
-// race-free by construction.
-struct DetKContext {
-  const Hypergraph& h;
-  const IncidenceIndex& index;
-  int k;
-  int n;
-  int m;
-  DecompCache* cache;  // nullptr: shared memoization disabled
+// (component, connector): the key of one det-k subproblem.
+struct Subproblem {
+  Bitset comp;
+  Bitset conn;
+  bool operator==(const Subproblem& o) const {
+    return comp == o.comp && conn == o.conn;
+  }
+};
+struct SubproblemHash {
+  size_t operator()(const Subproblem& key) const {
+    uint64_t h = key.comp.Hash();
+    h ^= key.conn.Hash() + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    return static_cast<size_t>(h);
+  }
 };
 
-// One det-k search worker. Workers own their node arrays, their
-// VarsOfEdges memo and their scratch arena; the (component, connector, k)
-// cache and the budget's tick counter are shared through DetKContext /
-// SearchBudget. All enumeration orders are deterministic functions of the
-// subproblem, so every worker that solves a subproblem positively records
-// the *same* witness subtree — which is what makes sharing positive
-// entries across threads result-deterministic.
+// One det-k decision run: decides hw <= k for one k on the calling
+// thread. It owns its node arrays, its subproblem memo, its VarsOfEdges
+// memo and its scratch arena.
+//
+// The memo maps (component, connector) to "refuted" or to the witness
+// subtree found for it, which a later hit splices in instead of
+// re-deriving. Both are facts about the subproblem at this k, so a hit
+// gives the answer the search itself would reach.
 //
 // Steady-state allocation discipline: every set the separator-enumeration
 // recursion manipulates (scopes, separator vertex unions, connectors,
@@ -86,81 +84,98 @@ struct DetKContext {
 // frame that is constructed once and reused; slot construction is the
 // only heap traffic and is counted in detk.scratch_bytes_allocated, which
 // plateaus once the search reaches its maximum recursion depth.
-class DetKWorker {
+class DetKSearch {
  public:
-  DetKWorker(const DetKContext& ctx, SearchBudget budget,
-             std::function<bool()> superseded = nullptr)
-      : ctx_(ctx),
-        budget_(std::move(budget)),
-        superseded_(std::move(superseded)) {
-    splitter_.Attach(&ctx.index);
-    cand_gen_.Attach(&ctx.index);
+  DetKSearch(const Hypergraph& h, const IncidenceIndex& index, int k,
+             const SearchOptions& options)
+      : h_(h),
+        index_(index),
+        k_(k),
+        n_(h.NumVertices()),
+        use_memo_(options.use_decomp_cache),
+        budget_(options) {
+    HT_CHECK_GE(k, 1);
+    splitter_.Attach(&index);
+    cand_gen_.Attach(&index);
+  }
+
+  // Decides hw <= k: a witness on success; std::nullopt on a refutation
+  // or when the budget ran out (aborted()). Adds the memo's counters to
+  // the decomp_cache.* registry counters.
+  std::optional<HypertreeDecomposition> Run() {
+    if (h_.NumEdges() == 0) return HypertreeDecomposition(n_);
+    Bitset all_edges(h_.NumEdges());
+    all_edges.SetAll();
+    const bool ok = Decompose(all_edges, Bitset(n_), /*parent=*/-1,
+                              /*depth=*/0);
+    AddDecompCacheMetrics(stats_);
+    if (!ok) return std::nullopt;
+    HypertreeDecomposition hd(n_);
+    for (size_t p = 0; p < chi_.size(); ++p) {
+      hd.AddNode(chi_[p], lambda_[p], parent_[p]);
+    }
+    // Every successful det-k run flows through here (including spliced
+    // memo witnesses), so this debug check covers conditions 1-4 for all
+    // of them.
+    if (ht_internal::kDCheckEnabled) ValidateDecomposition(h_, hd);
+    return hd;
   }
 
   bool aborted() const { return aborted_; }
+  // Budget ticks: one per Decompose call.
+  long ticks() const { return budget_.ticks(); }
+  const DecompCacheStats& cache_stats() const { return stats_; }
 
-  // True when the abort came from the superseded check (a lower-index
-  // root task already succeeded), not from the budget.
-  bool superseded_abort() const { return superseded_abort_; }
+ private:
+  // Reusable per-recursion-depth scratch frame. References into a frame
+  // stay valid while deeper frames are created (std::deque growth does
+  // not move elements), and a frame is only written by recursion levels
+  // at exactly its depth.
+  struct DepthScratch {
+    Bitset scope;                  // n bits: var(comp) | conn
+    Bitset child_conn;             // n bits: var(child comp) & sep_vars
+    std::vector<Bitset> sep_vars;  // per separator size s, slot s (n bits)
+    std::vector<int> sep;
+    std::vector<int> candidates;
+    std::vector<Bitset> comps;     // component slots (m bits)
+  };
 
   // Tries to decompose `comp` under connecting vertices `conn`; appends
   // decomposition nodes under `parent` on success (rolled back on fail).
-  // `depth` selects the scratch frame (root calls pass 0).
+  // `depth` selects the scratch frame (the root call passes 0).
   bool Decompose(const Bitset& comp, const Bitset& conn, int parent,
                  int depth) {
     if (BudgetExceeded()) return false;
     if (comp.None()) return true;
     DecomposeCallsMetric().Increment();
-    if (ctx_.cache != nullptr) {
-      std::shared_ptr<const CachedSubtree> sub;
-      switch (ctx_.cache->Lookup(comp, conn, ctx_.k, &sub)) {
-        case DecompCache::Outcome::kNegative:
-          return false;
-        case DecompCache::Outcome::kPositive:
-          Splice(*sub, parent);
-          return true;
-        case DecompCache::Outcome::kUnknown:
-          break;
+    if (use_memo_) {
+      auto it = memo_.find(Subproblem{comp, conn});
+      if (it != memo_.end()) {
+        ++stats_.hits;
+        if (!it->second.has_value()) return false;
+        Splice(*it->second, parent);
+        return true;
       }
+      ++stats_.misses;
     } else if (LocalFailed(comp, conn)) {
       return false;
     }
     size_t mark = chi_.size();
     bool ok = Search(comp, conn, parent, depth);
-    if (ctx_.cache != nullptr) {
+    if (use_memo_) {
+      // Recursion only visits strictly smaller components, so the
+      // subproblem is still absent here.
       if (ok) {
-        ctx_.cache->InsertPositive(comp, conn, ctx_.k, Capture(mark));
+        memo_.emplace(Subproblem{comp, conn}, Capture(mark));
+        ++stats_.inserts;
       } else if (!aborted_) {
-        ctx_.cache->InsertNegative(comp, conn, ctx_.k);
+        memo_.emplace(Subproblem{comp, conn}, std::nullopt);
+        ++stats_.inserts;
       }
     } else if (!ok && !aborted_) {
       failed_[comp].push_back(conn);
     }
     return ok;
-  }
-
-  // Explores the root separators whose lowest-index candidate is
-  // candidates[from] (one task of the parallelized top-level loop;
-  // mirrors one iteration of EnumerateSeparators at the root).
-  bool RootTask(const Bitset& comp, const Bitset& conn, const Bitset& scope,
-                const std::vector<int>& candidates, size_t from) {
-    if (BudgetExceeded()) return false;
-    RootTasksMetric().Increment();
-    int e = candidates[from];
-    std::vector<int> sep{e};
-    return EnumerateSeparators(comp, conn, scope, candidates, from + 1, &sep,
-                               ctx_.h.EdgeBits(e), /*parent=*/-1,
-                               /*depth=*/0);
-  }
-
-  // Sorted candidate separator edges for (comp, conn): edges intersecting
-  // the scope, those covering many connector vertices first (generated
-  // word-parallel from the incidence index; deterministic count-desc,
-  // id-asc order — identical to the old rescan + stable_sort).
-  std::vector<int> Candidates(const Bitset& conn, const Bitset& scope) {
-    std::vector<int> candidates;
-    cand_gen_.SortedCandidates(conn, scope, &candidates);
-    return candidates;
   }
 
   // var(edges), memoized per edge set: the same component/separator edge
@@ -177,72 +192,44 @@ class DetKWorker {
       vars_memo_.clear();
     }
     // One kernel OR-reduce over the index's edge->vertex arena.
-    Bitset vars(ctx_.n);
+    Bitset vars(n_);
     kernels::Active().OrReduceRows(
-        vars.MutableWords(), ctx_.index.VertWords(), ctx_.index.EdgeVarRows(),
-        ctx_.index.EdgeVarStride(), edges.Words(), edges.NumWords());
+        vars.MutableWords(), index_.VertWords(), index_.EdgeVarRows(),
+        index_.EdgeVarStride(), edges.Words(), edges.NumWords());
     return vars_memo_.emplace(edges, std::move(vars)).first->second;
   }
-
-  // Recorded decomposition nodes, parent-first.
-  std::vector<Bitset> chi_;
-  std::vector<std::vector<int>> lambda_;
-  std::vector<int> parent_;
-
- private:
-  // Reusable per-recursion-depth scratch frame. References into a frame
-  // stay valid while deeper frames are created (std::deque growth does
-  // not move elements), and a frame is only written by recursion levels
-  // at exactly its depth.
-  struct DepthScratch {
-    Bitset scope;                  // n bits: var(comp) | conn
-    Bitset child_conn;             // n bits: var(child comp) & sep_vars
-    std::vector<Bitset> sep_vars;  // per separator size s, slot s (n bits)
-    std::vector<int> sep;
-    std::vector<int> candidates;
-    std::vector<Bitset> comps;     // component slots (m bits)
-  };
 
   DepthScratch& ScratchAt(int depth) {
     while (static_cast<int>(scratch_.size()) <= depth) {
       scratch_.emplace_back();
       DepthScratch& s = scratch_.back();
-      s.scope = Bitset(ctx_.n);
-      s.child_conn = Bitset(ctx_.n);
-      s.sep_vars.reserve(ctx_.k + 2);
-      for (int i = 0; i < ctx_.k + 2; ++i) s.sep_vars.emplace_back(ctx_.n);
-      ScratchBytesMetric().Add(static_cast<long>(ctx_.k + 4) *
-                               ((ctx_.n + 63) / 64) * 8);
+      s.scope = Bitset(n_);
+      s.child_conn = Bitset(n_);
+      s.sep_vars.reserve(k_ + 2);
+      for (int i = 0; i < k_ + 2; ++i) s.sep_vars.emplace_back(n_);
+      ScratchBytesMetric().Add(static_cast<long>(k_ + 4) * ((n_ + 63) / 64) *
+                               8);
     }
     return scratch_[depth];
   }
 
   bool BudgetExceeded() {
-    if (aborted_) return true;
-    if (budget_.Tick()) {
-      aborted_ = true;
-    } else if (superseded_ != nullptr && superseded_()) {
-      aborted_ = true;
-      superseded_abort_ = true;
-    }
+    if (!aborted_ && budget_.Tick()) aborted_ = true;
     return aborted_;
   }
 
-  // Deadline / cancellation / supersede poll that does NOT consume a
-  // node-budget tick: separator attempts between two Decompose calls can
-  // be numerous and individually slow (a component split each), so they
-  // poll here to bound cancellation latency without changing the
-  // semantics of max_nodes.
+  // Deadline / cancellation poll that does NOT consume a node-budget
+  // tick: separator attempts between two Decompose calls can be numerous
+  // and individually slow (a component split each), so they poll here to
+  // bound cancellation latency without changing the semantics of
+  // max_nodes.
   bool PollCancelled() {
-    if (aborted_) return true;
-    if (budget_.PollDeadline()) {
-      aborted_ = true;
-    } else if (superseded_ != nullptr && superseded_()) {
-      aborted_ = true;
-      superseded_abort_ = true;
-    }
+    if (!aborted_ && budget_.PollDeadline()) aborted_ = true;
     return aborted_;
   }
+
+  // Out of line: inlined, the poll slows the whole enumeration down.
+  [[gnu::noinline]] bool PollEnumeration() { return PollCancelled(); }
 
   bool LocalFailed(const Bitset& comp, const Bitset& conn) const {
     auto it = failed_.find(comp);
@@ -266,9 +253,9 @@ class DetKWorker {
 
   // Recursively chooses up to k separator edges from candidates[from..).
   // A frame whose partial separator has size s reads `sep_vars` from slot
-  // s of its depth's sep_vars stack (or a caller-owned set at the root)
-  // and writes the extended union into slot s+1, so no live slot is ever
-  // overwritten and the whole enumeration allocates nothing.
+  // s of its depth's sep_vars stack and writes the extended union into
+  // slot s+1, so no live slot is ever overwritten and the whole
+  // enumeration allocates nothing.
   bool EnumerateSeparators(const Bitset& comp, const Bitset& conn,
                            const Bitset& scope,
                            const std::vector<int>& candidates, size_t from,
@@ -280,15 +267,18 @@ class DetKWorker {
         return true;
       }
     }
-    if (static_cast<int>(sep->size()) == ctx_.k) return false;
+    if (static_cast<int>(sep->size()) == k_) return false;
+    // Between two TrySeparator calls the enumeration can run for seconds,
+    // so every 256th extending frame polls too (the counter wraps).
+    if (++enumeration_frames_ == 0 && PollEnumeration()) return false;
     DepthScratch& s = ScratchAt(depth);
     for (size_t i = from; i < candidates.size(); ++i) {
       int e = candidates[i];
       // Each added edge must contribute new scope vertices (otherwise it
       // neither helps covering conn nor splitting comp).
-      if (!ctx_.h.EdgeBits(e).IntersectsAndNot(scope, sep_vars)) continue;
+      if (!h_.EdgeBits(e).IntersectsAndNot(scope, sep_vars)) continue;
       Bitset& next_vars = s.sep_vars[sep->size() + 1];
-      next_vars.AssignOr(sep_vars, ctx_.h.EdgeBits(e));
+      next_vars.AssignOr(sep_vars, h_.EdgeBits(e));
       sep->push_back(e);
       if (EnumerateSeparators(comp, conn, scope, candidates, i + 1, sep,
                               next_vars, parent, depth)) {
@@ -333,19 +323,19 @@ class DetKWorker {
 
   // Copies the nodes appended since `mark` into a relocatable subtree
   // (subtree-relative parents, -1 for the subtree root).
-  std::shared_ptr<const CachedSubtree> Capture(size_t mark) const {
-    auto sub = std::make_shared<CachedSubtree>();
+  CachedSubtree Capture(size_t mark) const {
+    CachedSubtree sub;
     size_t count = chi_.size() - mark;
-    sub->chi.reserve(count);
-    sub->lambda.reserve(count);
-    sub->parent.reserve(count);
+    sub.chi.reserve(count);
+    sub.lambda.reserve(count);
+    sub.parent.reserve(count);
     for (size_t i = mark; i < chi_.size(); ++i) {
-      sub->chi.push_back(chi_[i]);
-      sub->lambda.push_back(lambda_[i]);
+      sub.chi.push_back(chi_[i]);
+      sub.lambda.push_back(lambda_[i]);
       int p = parent_[i];
-      sub->parent.push_back(p < static_cast<int>(mark)
-                                ? -1
-                                : p - static_cast<int>(mark));
+      sub.parent.push_back(p < static_cast<int>(mark)
+                               ? -1
+                               : p - static_cast<int>(mark));
     }
     return sub;
   }
@@ -361,142 +351,39 @@ class DetKWorker {
     }
   }
 
-  const DetKContext& ctx_;
+  const Hypergraph& h_;
+  const IncidenceIndex& index_;
+  const int k_;
+  const int n_;
+  const bool use_memo_;  // false: per-run negative memo only (ablation)
   SearchBudget budget_;
-  std::function<bool()> superseded_;
   bool aborted_ = false;
-  bool superseded_abort_ = false;
+  uint8_t enumeration_frames_ = 0;
   ComponentSplitter splitter_;
   CandidateGenerator cand_gen_;
   std::deque<DepthScratch> scratch_;
-  std::unordered_map<Bitset, std::vector<Bitset>> failed_;  // cache-off mode
+  // Recorded decomposition nodes, parent-first.
+  std::vector<Bitset> chi_;
+  std::vector<std::vector<int>> lambda_;
+  std::vector<int> parent_;
+  // Subproblem memo: std::nullopt marks a refuted subproblem.
+  std::unordered_map<Subproblem, std::optional<CachedSubtree>, SubproblemHash>
+      memo_;
+  DecompCacheStats stats_;
+  std::unordered_map<Bitset, std::vector<Bitset>> failed_;  // memo-off mode
   std::unordered_map<Bitset, Bitset> vars_memo_;
 };
-
-std::optional<HypertreeDecomposition> BuildDecomposition(
-    const DetKContext& ctx, const DetKWorker& worker) {
-  HypertreeDecomposition hd(ctx.n);
-  for (size_t p = 0; p < worker.chi_.size(); ++p) {
-    hd.AddNode(worker.chi_[p], worker.lambda_[p], worker.parent_[p]);
-  }
-  // Every successful det-k run flows through here (including spliced
-  // cache witnesses), so this debug check covers conditions 1-4 for all
-  // of them.
-  if (ht_internal::kDCheckEnabled) ValidateDecomposition(ctx.h, hd);
-  return hd;
-}
-
-// Runs det-k with the given shared cache (may be null). The top-level
-// separator loop is split per lowest-index candidate across the pool;
-// the lowest successful index wins regardless of completion order, so
-// the result is the one the sequential enumeration would produce.
-std::optional<HypertreeDecomposition> RunDetK(const DetKContext& ctx,
-                                              const SearchOptions& options,
-                                              bool* aborted) {
-  SearchBudget budget(options);
-  Bitset all_edges(ctx.m);
-  all_edges.SetAll();
-  Bitset root_conn(ctx.n);
-
-  int threads = options.threads > 0 ? options.threads
-                                    : ThreadPool::HardwareThreads();
-
-  if (threads <= 1) {
-    DetKWorker worker(ctx, budget);
-    bool ok = worker.Decompose(all_edges, root_conn, -1, /*depth=*/0);
-    if (aborted != nullptr) *aborted = worker.aborted();
-    if (!ok) return std::nullopt;
-    return BuildDecomposition(ctx, worker);
-  }
-
-  // Root subproblem setup (mirrors DetKWorker::Search at the root).
-  DetKWorker scout(ctx, budget);
-  Bitset scope = scout.VarsOfEdges(all_edges) | root_conn;
-  std::vector<int> candidates = scout.Candidates(root_conn, scope);
-  if (candidates.empty()) {
-    if (aborted != nullptr) *aborted = false;
-    return std::nullopt;
-  }
-
-  std::atomic<int> best_index{INT_MAX};
-  std::vector<std::unique_ptr<DetKWorker>> workers(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    workers[i] = std::make_unique<DetKWorker>(
-        ctx, budget, [&best_index, i] {
-          // Relaxed publish/poll is sound: best_index is a monotone
-          // minimum, and a stale read only delays a worker's early exit —
-          // the witness itself lives in the worker's own slot and is read
-          // after pool.Wait(), which supplies the happens-before edge.
-          // ht-analyze: allow(relaxed-publish)
-          return best_index.load(std::memory_order_relaxed) <
-                 static_cast<int>(i);
-        });
-  }
-  {
-    ThreadPool pool(threads);
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      pool.Submit([&best_index, &workers, &all_edges, &root_conn, &scope,
-                   &candidates, i] {
-        // ht-analyze: allow(relaxed-publish) — stale poll only delays exit
-        if (best_index.load(std::memory_order_relaxed) < static_cast<int>(i))
-          return;  // already superseded before starting
-        if (workers[i]->RootTask(all_edges, root_conn, scope, candidates,
-                                 i)) {
-          // Monotone-min CAS; winner data is in workers[i], synchronized
-          // by Wait().
-          // ht-analyze: allow(relaxed-publish)
-          int seen = best_index.load(std::memory_order_relaxed);
-          while (static_cast<int>(i) < seen &&
-                 // ht-analyze: allow(relaxed-publish)
-                 !best_index.compare_exchange_weak(
-                     seen, static_cast<int>(i), std::memory_order_relaxed)) {
-          }
-        }
-      });
-    }
-    pool.Wait();
-  }
-
-  // Wait() above orders every CAS before this read.
-  // ht-analyze: allow(relaxed-publish)
-  int winner = best_index.load(std::memory_order_relaxed);
-  if (winner != INT_MAX) {
-    if (aborted != nullptr) *aborted = false;
-    return BuildDecomposition(ctx, *workers[winner]);
-  }
-  bool any_aborted = false;
-  for (const auto& w : workers) {
-    if (w->aborted() && !w->superseded_abort()) any_aborted = true;
-  }
-  if (aborted != nullptr) *aborted = any_aborted;
-  return std::nullopt;
-}
-
-std::optional<HypertreeDecomposition> DetKDecompImpl(
-    const Hypergraph& h, const IncidenceIndex& index, int k,
-    const SearchOptions& options, DecompCache* cache, bool* aborted) {
-  HT_CHECK_GE(k, 1);
-  if (aborted != nullptr) *aborted = false;
-  if (h.NumEdges() == 0) {
-    return HypertreeDecomposition(h.NumVertices());
-  }
-  DetKContext ctx{h,
-                  index,
-                  k,
-                  h.NumVertices(),
-                  h.NumEdges(),
-                  options.use_decomp_cache ? cache : nullptr};
-  return RunDetK(ctx, options, aborted);
-}
 
 }  // namespace
 
 std::optional<HypertreeDecomposition> DetKDecomp(const Hypergraph& h, int k,
                                                  const SearchOptions& options,
                                                  bool* aborted) {
-  DecompCache cache;
   IncidenceIndex index(h);
-  return DetKDecompImpl(h, index, k, options, &cache, aborted);
+  DetKSearch search(h, index, k, options);
+  std::optional<HypertreeDecomposition> hd = search.Run();
+  if (aborted != nullptr) *aborted = search.aborted();
+  return hd;
 }
 
 WidthResult HypertreeWidth(const Hypergraph& h, const SearchOptions& options,
@@ -514,12 +401,10 @@ WidthResult HypertreeWidth(const Hypergraph& h, const SearchOptions& options,
   res.lower_bound = lb;
   res.upper_bound = m;  // trivial: one node with all edges
   Deadline deadline(options.time_limit_seconds);
-  // One incidence index and one cache for all k iterations: the index is
-  // a function of the instance alone, and cache entries are keyed on k,
-  // so refutation work at k never contaminates k+1 while the stats
-  // aggregate naturally.
+  // One incidence index for all k: it is a function of the instance
+  // alone. Each k runs its own search with its own memo, since a
+  // subproblem refuted at k may still be decomposable at k+1.
   IncidenceIndex index(h);
-  DecompCache cache;
   for (int k = std::max(1, lb); k <= m; ++k) {
     // Width cap: proving hw <= k cannot improve on an upper bound of
     // max_width, so stop before k reaches it (the portfolio seeds this
@@ -531,8 +416,10 @@ WidthResult HypertreeWidth(const Hypergraph& h, const SearchOptions& options,
           options.time_limit_seconds - deadline.ElapsedSeconds();
       if (sub.time_limit_seconds <= 0) break;
     }
-    bool aborted = false;
-    auto hd = DetKDecompImpl(h, index, k, sub, &cache, &aborted);
+    DetKSearch search(h, index, k, sub);
+    std::optional<HypertreeDecomposition> hd = search.Run();
+    res.nodes += search.ticks();
+    res.cache_stats += search.cache_stats();
     if (hd.has_value()) {
       res.upper_bound = k;
       res.lower_bound = k;
@@ -540,10 +427,9 @@ WidthResult HypertreeWidth(const Hypergraph& h, const SearchOptions& options,
       if (witness != nullptr) *witness = std::move(hd);
       break;
     }
-    if (aborted) break;       // budget ran out: bounds only
-    res.lower_bound = k + 1;  // hw > k proven
+    if (search.aborted()) break;  // budget ran out: bounds only
+    res.lower_bound = k + 1;      // hw > k proven
   }
-  res.cache_stats = cache.stats();
   res.seconds = timer.ElapsedSeconds();
   return res;
 }

@@ -5,9 +5,11 @@
 // separator lambda of at most k hyperedges covering the connecting
 // vertices inherited from the parent, set chi = var(lambda) restricted to
 // the component, split the remaining edges into subcomponents and recurse.
-// Failed (component, connector) pairs are memoized. The normal-form
-// theorem of GLS guarantees completeness, and the chi choice makes the
-// descendant condition (4) hold by construction.
+// Each (component, connector) pair is decided once per k: refutations and
+// witness subtrees are memoized. The normal-form theorem of GLS
+// guarantees completeness, and the chi choice makes the descendant
+// condition (4) hold by construction. The search runs on the calling
+// thread.
 
 #ifndef HYPERTREE_HD_DET_K_DECOMP_H_
 #define HYPERTREE_HD_DET_K_DECOMP_H_
@@ -29,6 +31,8 @@ std::optional<HypertreeDecomposition> DetKDecomp(const Hypergraph& h, int k,
 
 /// Computes hw(h) by trying k = lb, lb+1, ... Returns anytime bounds;
 /// `witness` (optional) receives the decomposition of upper_bound width.
+/// `nodes` counts the subproblems visited over all k (one budget tick
+/// each).
 WidthResult HypertreeWidth(const Hypergraph& h,
                            const SearchOptions& options = {},
                            std::optional<HypertreeDecomposition>* witness =

@@ -96,7 +96,6 @@ void RunEngine(const Hypergraph& h, const EngineSpec& spec,
       sub.time_limit_seconds = opts.time_limit_seconds;
       sub.max_nodes = budget_nodes;
       sub.seed = opts.seed;
-      sub.threads = 1;
       sub.cancel = token;
       // Proving hw <= k for k >= the incumbent cannot improve the race.
       sub.max_width = prologue_ub;
@@ -124,7 +123,6 @@ void RunEngine(const Hypergraph& h, const EngineSpec& spec,
       g.time_limit_seconds = opts.time_limit_seconds;
       g.max_nodes = budget_nodes;
       g.seed = opts.seed;
-      g.threads = 1;
       g.cancel = token;
       g.initial_upper_bound = prologue_ub;
       WidthResult r = spec.kind == EngineKind::kBbGhw ? BranchAndBoundGhw(h, g)

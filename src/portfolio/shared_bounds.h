@@ -9,8 +9,7 @@
 // supersede rule is what keeps racing deterministic: whether engine i
 // finishes is then independent of thread scheduling (it can only be
 // cancelled by provers ordered before it, whose own runs are
-// deterministic), so "lowest-indexed prover" — the lowest-index-wins
-// rule of the parallel det-k root search — names the same winner for
+// deterministic), so "lowest-indexed prover" names the same winner for
 // every --threads value.
 
 #ifndef HYPERTREE_PORTFOLIO_SHARED_BOUNDS_H_

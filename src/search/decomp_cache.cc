@@ -51,75 +51,18 @@ DecompCache::DecompCache(int num_shards) {
   for (int i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>());
 }
 
-DecompCache::Outcome DecompCache::Lookup(
-    const Bitset& component, const Bitset& connector, int k,
-    std::shared_ptr<const CachedSubtree>* subtree) {
-  // det-k keys use k >= 1; k = -2 is reserved for whole-instance entries
-  // (see InstanceKey), so a stray non-positive k could read the wrong
-  // keyspace.
-  HT_DCHECK_GE(k, 1);
-  Key key{component, connector, k};
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end() || it->second.outcome == Outcome::kUnknown) {
-    CountMiss();
-    return Outcome::kUnknown;
-  }
-  CountHit();
-  if (it->second.outcome == Outcome::kPositive && subtree != nullptr) {
-    *subtree = it->second.subtree;
-  }
-  return it->second.outcome;
-}
-
-void DecompCache::InsertNegative(const Bitset& component,
-                                 const Bitset& connector, int k) {
-  HT_DCHECK_GE(k, 1);
-  Key key{component, connector, k};
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  Entry& e = shard.map[std::move(key)];
-  if (e.outcome == Outcome::kUnknown) {
-    e.outcome = Outcome::kNegative;
-    CountInsert();
-  }
-}
-
-void DecompCache::InsertPositive(const Bitset& component,
-                                 const Bitset& connector, int k,
-                                 std::shared_ptr<const CachedSubtree> subtree) {
-  HT_DCHECK_GE(k, 1);
-  HT_CHECK(subtree != nullptr)
-      << "positive det-k entries must carry their witness subtree";
-  HT_CHECK_EQ(subtree->chi.size(), subtree->parent.size())
-      << "cached subtree chi/parent arrays out of step";
-  HT_CHECK_EQ(subtree->lambda.size(), subtree->parent.size())
-      << "cached subtree lambda/parent arrays out of step";
-  Key key{component, connector, k};
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  Entry& e = shard.map[std::move(key)];
-  if (e.outcome != Outcome::kPositive) {
-    e.outcome = Outcome::kPositive;
-    e.subtree = std::move(subtree);
-    CountInsert();
-  }
-}
-
 DecompCache::Outcome DecompCache::LookupInstance(
     const Bitset& key, int* meta,
     std::shared_ptr<const CachedSubtree>* subtree) {
-  Key k = InstanceKey(key);
-  Shard& shard = ShardFor(k);
+  Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(k);
-  if (it == shard.map.end() || it->second.outcome != Outcome::kPositive) {
+  auto it = shard.map.find(key);
+  if (it == shard.map.end()) {
     CountMiss();
     return Outcome::kUnknown;
   }
   CountHit();
-  if (meta != nullptr) *meta = it->second.value;
+  if (meta != nullptr) *meta = it->second.meta;
   if (subtree != nullptr) *subtree = it->second.subtree;
   return Outcome::kPositive;
 }
@@ -132,14 +75,9 @@ void DecompCache::InsertInstance(const Bitset& key, int meta,
       << "cached subtree chi/parent arrays out of step";
   HT_CHECK_EQ(subtree->lambda.size(), subtree->parent.size())
       << "cached subtree lambda/parent arrays out of step";
-  Key k = InstanceKey(key);
-  Shard& shard = ShardFor(k);
+  Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  Entry& e = shard.map[std::move(k)];
-  if (e.outcome != Outcome::kPositive) {
-    e.outcome = Outcome::kPositive;
-    e.value = meta;
-    e.subtree = std::move(subtree);
+  if (shard.map.try_emplace(key, Entry{meta, std::move(subtree)}).second) {
     CountInsert();
   }
 }

@@ -1,25 +1,20 @@
-// Shared memo table for the exact decomposition searches.
+// The in-memory level of the decomposition service's cache (src/serve),
+// plus the cache counters every memoizing search reports.
 //
-// Two usage patterns share one keyed store:
-//
-//  1. det-k-decomp subproblem memoization (Gottlob, Leone & Scarcello's
-//     detkdecomp): key (component, connector, k). A *negative* entry
-//     records that the component provably has no hypertree decomposition
-//     of width <= k under that connector; a *positive* entry additionally
-//     stores the witness subtree so later hits splice it instead of
-//     re-deriving it. Both are order-independent facts, which is what
-//     makes the table safe to share across concurrent search workers.
-//
-//  2. Whole-instance witness entries for the decomposition service
-//     (src/serve): key is the 128-bit content hash of the normalized
-//     instance (as a Bitset), the value a caller-packed meta word plus
-//     the full decomposition as a CachedSubtree. This is the in-memory
-//     level of the serve cache; the on-disk level serializes the same
-//     witnesses through src/io/ghd_format.
+// DecompCache holds whole-instance witness entries: the key is the 128-bit
+// content hash of the normalized instance (as a Bitset), the value a
+// caller-packed meta word plus the full decomposition as a CachedSubtree.
+// The on-disk level serializes the same witnesses through
+// src/io/ghd_format.
 //
 // The table is sharded by key hash; every shard has its own mutex, so
-// concurrent workers rarely contend. Hit/miss/insert counters are
-// maintained with relaxed atomics and reported via stats().
+// concurrent request handlers rarely contend. Hit/miss/insert counters
+// are maintained with relaxed atomics and reported via stats().
+//
+// The exact searches run on one thread each and keep their memos in
+// private tables (det-k's subproblem memo, the elimination searches'
+// BestGTable); they count with DecompCacheStats and publish through
+// AddDecompCacheMetrics.
 
 #ifndef HYPERTREE_SEARCH_DECOMP_CACHE_H_
 #define HYPERTREE_SEARCH_DECOMP_CACHE_H_
@@ -56,37 +51,24 @@ struct DecompCacheStats {
 void AddDecompCacheMetrics(const DecompCacheStats& stats);
 
 /// A recorded decomposition subtree: nodes in parent-first order with
-/// subtree-relative parent indices (-1 marks the subtree root, which the
-/// splicing search re-parents under its current node).
+/// subtree-relative parent indices (-1 marks the subtree root; det-k
+/// re-parents it under its current node when it splices a memo hit).
 struct CachedSubtree {
   std::vector<Bitset> chi;
   std::vector<std::vector<int>> lambda;
   std::vector<int> parent;
 };
 
-/// Thread-safe memo table keyed on (Bitset, Bitset, int).
+/// Thread-safe whole-instance witness table keyed on a content hash.
 class DecompCache {
  public:
-  enum class Outcome { kUnknown, kPositive, kNegative };
+  enum class Outcome { kUnknown, kPositive };
 
   /// `num_shards` independent lock domains (rounded up to at least 1).
   explicit DecompCache(int num_shards = 16);
 
-  /// Looks up a det-k subproblem. On kPositive, `*subtree` (when non-null)
-  /// receives the recorded witness.
-  Outcome Lookup(const Bitset& component, const Bitset& connector, int k,
-                 std::shared_ptr<const CachedSubtree>* subtree = nullptr);
-
-  /// Records that (component, connector) has no width-<=k decomposition.
-  void InsertNegative(const Bitset& component, const Bitset& connector, int k);
-
-  /// Records a witness subtree for (component, connector, k).
-  void InsertPositive(const Bitset& component, const Bitset& connector, int k,
-                      std::shared_ptr<const CachedSubtree> subtree);
-
-  /// Whole-instance witness lookup (serve keyspace, see file comment).
-  /// On kPositive, `*meta` / `*subtree` (when non-null) receive the
-  /// stored meta word and decomposition.
+  /// Whole-instance witness lookup. On kPositive, `*meta` / `*subtree`
+  /// (when non-null) receive the stored meta word and decomposition.
   Outcome LookupInstance(const Bitset& key, int* meta = nullptr,
                          std::shared_ptr<const CachedSubtree>* subtree =
                              nullptr);
@@ -114,31 +96,13 @@ class DecompCache {
   void Clear();
 
  private:
-  struct Key {
-    Bitset a;
-    Bitset b;
-    int k;
-    bool operator==(const Key& o) const {
-      return k == o.k && a == o.a && b == o.b;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key& key) const {
-      uint64_t h = key.a.Hash();
-      h ^= key.b.Hash() + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-      h ^= static_cast<uint64_t>(key.k) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-           (h >> 2);
-      return static_cast<size_t>(h);
-    }
-  };
   struct Entry {
-    Outcome outcome = Outcome::kUnknown;
-    int value = 0;
+    int meta = 0;
     std::shared_ptr<const CachedSubtree> subtree;
   };
   struct Shard {
     std::mutex mu;
-    std::unordered_map<Key, Entry, KeyHash> map;
+    std::unordered_map<Bitset, Entry> map;
   };
 
   // Bump the per-instance atomic and its process-wide metrics mirror.
@@ -146,17 +110,12 @@ class DecompCache {
   void CountMiss();
   void CountInsert();
 
-  Shard& ShardFor(const Key& key) {
+  Shard& ShardFor(const Bitset& key) {
     HT_DCHECK(!shards_.empty());
-    const size_t shard = KeyHash{}(key) % shards_.size();
+    const size_t shard = std::hash<Bitset>{}(key) % shards_.size();
     HT_DCHECK_LT(shard, shards_.size());
     HT_DCHECK(shards_[shard] != nullptr);
     return *shards_[shard];
-  }
-  static Key InstanceKey(const Bitset& key) {
-    // Whole-instance witness entries live under k = -2 (disjoint from the
-    // det-k space, k >= 1).
-    return Key{key, Bitset(), -2};
   }
 
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -97,8 +97,14 @@ Json DecompositionService::HandleDecompose(const Json& request,
 
   // Level 2: persistent content-addressed store.
   if (!have_witness && store_.enabled()) {
+    std::string load_error;
     std::optional<StoredWitness> stored =
-        store_.Load(norm.key, norm.canonical_text);
+        store_.Load(norm.key, norm.canonical_text, &load_error);
+    if (!load_error.empty()) {
+      // A damaged or mismatched entry: re-solved below like a miss.
+      metrics::GetCounter("serve.store_load_failures").Increment();
+      std::fprintf(stderr, "hypertree_serve: %s\n", load_error.c_str());
+    }
     if (stored.has_value()) {
       source = "disk";
       meta = stored->meta;

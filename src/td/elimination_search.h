@@ -83,8 +83,8 @@ inline EliminationOrdering OrderingFromPrefix(
 }
 
 // The smallest g each eliminated set was reached with: BB's transposition
-// table and A*'s duplicate table. Counts hits, misses and inserts the way
-// DecompCache's transposition probes do.
+// table and A*'s duplicate table. Counts its hits, misses and inserts as
+// det-k's subproblem memo does.
 class BestGTable {
  public:
   // True (a hit) when `set` was already reached with a g' <= g; otherwise

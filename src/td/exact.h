@@ -4,9 +4,7 @@
 #ifndef HYPERTREE_TD_EXACT_H_
 #define HYPERTREE_TD_EXACT_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 
 #include "ordering/ordering.h"
 #include "search/decomp_cache.h"
@@ -46,12 +44,8 @@ struct SearchOptions {
   /// bound). <= 0: uncapped.
   int max_width = 0;
   uint64_t seed = 1;                     // tie-breaking seed
-  /// Worker threads for the parallel phases (det-k-decomp's root
-  /// separator search). <= 0: hardware concurrency. Results are
-  /// deterministic regardless of the thread count.
-  int threads = 0;
-  /// Memoization: det-k's (component, connector, k) subproblem cache, and
-  /// the ghw searches' transposition table and bound memos (the treewidth
+  /// Memoization: det-k's (component, connector) subproblem memo, and the
+  /// ghw searches' transposition table and bound memos (the treewidth
   /// searches have neither). Off reverts to the seed behavior (per-run
   /// local negative memo only) for ablation/soundness checks.
   bool use_decomp_cache = true;
@@ -69,28 +63,25 @@ inline metrics::Counter& CancelPollMetric() {
 }
 
 /// Unified deadline / node-budget / cancellation bookkeeping for the
-/// exact searches. One Tick() per search node; the wall clock is polled
-/// every 64 ticks, the node budget and the cancellation token on every
-/// tick. Copies share the tick counter and the deadline (det-k's parallel
-/// workers draw from one global budget), while the sticky `exceeded` state
-/// and the PollDeadline() count are per-copy so each worker stops itself
-/// exactly once.
+/// exact searches, each of which runs on one thread. One Tick() per
+/// search node; the wall clock is polled every 64 ticks, the node budget
+/// and the cancellation token on every tick. Once exhausted it stays
+/// exhausted.
 class SearchBudget {
  public:
   explicit SearchBudget(const SearchOptions& opts)
       : deadline_(opts.time_limit_seconds),
         max_nodes_(opts.max_nodes),
-        cancel_(opts.cancel),
-        ticks_(std::make_shared<std::atomic<long>>(0)) {}
+        cancel_(opts.cancel) {}
 
   /// Counts one unit of work; returns true once the budget is exhausted.
   bool Tick() {
     if (exceeded_) return true;
-    long t = ticks_->fetch_add(1, std::memory_order_relaxed) + 1;
+    ++ticks_;
     CancelPollMetric().Increment();
-    if (max_nodes_ > 0 && t >= max_nodes_) {
+    if (max_nodes_ > 0 && ticks_ >= max_nodes_) {
       exceeded_ = true;
-    } else if ((t & 63) == 0 && deadline_.Expired()) {
+    } else if ((ticks_ & 63) == 0 && deadline_.Expired()) {
       exceeded_ = true;
     } else if (cancel_.Cancelled()) {
       exceeded_ = true;
@@ -123,14 +114,14 @@ class SearchBudget {
 
   bool Exceeded() const { return exceeded_; }
   void MarkExceeded() { exceeded_ = true; }
-  long ticks() const { return ticks_->load(std::memory_order_relaxed); }
+  long ticks() const { return ticks_; }
   double ElapsedSeconds() const { return deadline_.ElapsedSeconds(); }
 
  private:
   Deadline deadline_;
   long max_nodes_;
   CancellationToken cancel_;
-  std::shared_ptr<std::atomic<long>> ticks_;
+  long ticks_ = 0;
   bool exceeded_ = false;
   unsigned polls_ = 0;
 };

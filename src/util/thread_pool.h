@@ -1,11 +1,11 @@
 // A fixed-size worker pool with a FIFO task queue, plus a shared
 // cancellation token the search algorithms poll cooperatively.
 //
-// The exact decomposition searches fan work out per separator candidate
-// (det-k-decomp) and need to (a) wait for a deterministic winner and
-// (b) tell superseded workers to stop. Submit/Wait and CancellationToken
-// cover exactly that; there is no future/result plumbing — tasks write
-// into caller-owned slots.
+// The portfolio races its engines on a pool and needs to (a) wait for a
+// deterministic winner and (b) tell superseded engines to stop; the
+// solving routes run relation-tree nodes and morsels on one. Submit/Wait
+// and CancellationToken cover exactly that; there is no future/result
+// plumbing — tasks write into caller-owned slots.
 
 #ifndef HYPERTREE_UTIL_THREAD_POOL_H_
 #define HYPERTREE_UTIL_THREAD_POOL_H_

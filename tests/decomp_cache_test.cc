@@ -1,6 +1,7 @@
 #include "search/decomp_cache.h"
 
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -16,9 +17,17 @@ Bitset Bits(int size, std::initializer_list<int> bits) {
   return b;
 }
 
+std::shared_ptr<const CachedSubtree> OneNodeSubtree(const Bitset& chi) {
+  auto subtree = std::make_shared<CachedSubtree>();
+  subtree->chi.push_back(chi);
+  subtree->lambda.push_back({0, 3});
+  subtree->parent.push_back(-1);
+  return subtree;
+}
+
 TEST(DecompCacheTest, LookupOnEmptyCacheIsUnknown) {
   DecompCache cache;
-  EXPECT_EQ(cache.Lookup(Bits(8, {0, 1}), Bits(8, {2}), 2),
+  EXPECT_EQ(cache.LookupInstance(Bits(128, {0, 1})),
             DecompCache::Outcome::kUnknown);
   DecompCacheStats s = cache.stats();
   EXPECT_EQ(s.hits, 0);
@@ -26,48 +35,34 @@ TEST(DecompCacheTest, LookupOnEmptyCacheIsUnknown) {
   EXPECT_EQ(s.inserts, 0);
 }
 
-TEST(DecompCacheTest, NegativeEntryRoundTrips) {
+TEST(DecompCacheTest, InstanceEntryReturnsMetaAndWitness) {
   DecompCache cache;
-  Bitset comp = Bits(8, {0, 1, 2});
-  Bitset conn = Bits(8, {3});
-  cache.InsertNegative(comp, conn, 2);
-  EXPECT_EQ(cache.Lookup(comp, conn, 2), DecompCache::Outcome::kNegative);
-  // A different k, connector or component is a distinct subproblem.
-  EXPECT_EQ(cache.Lookup(comp, conn, 3), DecompCache::Outcome::kUnknown);
-  EXPECT_EQ(cache.Lookup(comp, Bits(8, {4}), 2),
-            DecompCache::Outcome::kUnknown);
-  EXPECT_EQ(cache.Lookup(Bits(8, {0, 1}), conn, 2),
-            DecompCache::Outcome::kUnknown);
-}
+  Bitset key = Bits(128, {4, 5, 70});
+  cache.InsertInstance(key, 42, OneNodeSubtree(Bits(10, {1, 2, 4})));
 
-TEST(DecompCacheTest, PositiveEntryReturnsWitness) {
-  DecompCache cache;
-  Bitset comp = Bits(10, {4, 5, 6});
-  Bitset conn = Bits(10, {1, 2});
-  auto subtree = std::make_shared<CachedSubtree>();
-  subtree->chi.push_back(Bits(10, {1, 2, 4}));
-  subtree->lambda.push_back({0, 3});
-  subtree->parent.push_back(-1);
-  cache.InsertPositive(comp, conn, 3, subtree);
-
+  int meta = 0;
   std::shared_ptr<const CachedSubtree> got;
-  EXPECT_EQ(cache.Lookup(comp, conn, 3, &got),
+  EXPECT_EQ(cache.LookupInstance(key, &meta, &got),
             DecompCache::Outcome::kPositive);
+  EXPECT_EQ(meta, 42);
   ASSERT_NE(got, nullptr);
   ASSERT_EQ(got->chi.size(), 1u);
   EXPECT_EQ(got->chi[0], Bits(10, {1, 2, 4}));
   EXPECT_EQ(got->lambda[0], (std::vector<int>{0, 3}));
   EXPECT_EQ(got->parent[0], -1);
+  // A different key is a different instance.
+  EXPECT_EQ(cache.LookupInstance(Bits(128, {4, 5})),
+            DecompCache::Outcome::kUnknown);
 }
 
 TEST(DecompCacheTest, StatsCountHitsMissesInserts) {
   DecompCache cache;
-  Bitset comp = Bits(8, {0});
-  Bitset conn = Bits(8, {1});
-  cache.Lookup(comp, conn, 1);    // miss
-  cache.InsertNegative(comp, conn, 1);  // insert
-  cache.Lookup(comp, conn, 1);    // hit
-  cache.Lookup(comp, conn, 1);    // hit
+  Bitset key = Bits(128, {0, 1});
+  cache.LookupInstance(key);                           // miss
+  cache.InsertInstance(key, 1, OneNodeSubtree(key));   // insert
+  cache.InsertInstance(key, 2, OneNodeSubtree(key));   // first write wins
+  cache.LookupInstance(key);                           // hit
+  cache.LookupInstance(key);                           // hit
   DecompCacheStats s = cache.stats();
   EXPECT_EQ(s.misses, 1);
   EXPECT_EQ(s.inserts, 1);
@@ -113,13 +108,13 @@ TEST(BestGTableTest, DominatedStrictNeverInserts) {
 
 TEST(DecompCacheTest, ClearDropsEntriesKeepsCounters) {
   DecompCache cache;
-  Bitset comp = Bits(8, {0, 1});
-  Bitset conn = Bits(8, {2});
-  cache.InsertNegative(comp, conn, 2);
-  EXPECT_EQ(cache.Lookup(comp, conn, 2), DecompCache::Outcome::kNegative);
+  Bitset key = Bits(128, {0, 1, 2});
+  cache.InsertInstance(key, 2, OneNodeSubtree(key));
+  EXPECT_EQ(cache.LookupInstance(key), DecompCache::Outcome::kPositive);
   long inserts_before = cache.stats().inserts;
   cache.Clear();
-  EXPECT_EQ(cache.Lookup(comp, conn, 2), DecompCache::Outcome::kUnknown);
+  EXPECT_EQ(cache.LookupInstance(key), DecompCache::Outcome::kUnknown);
+  EXPECT_EQ(cache.NumEntries(), size_t{0});
   EXPECT_EQ(cache.stats().inserts, inserts_before);
 }
 
@@ -127,15 +122,18 @@ TEST(DecompCacheTest, SingleShardStillWorks) {
   DecompCache cache(1);
   EXPECT_EQ(cache.num_shards(), 1);
   for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(cache.Lookup(Bits(8, {i}), Bits(8, {(i + 1) % 8}), 2),
+    EXPECT_EQ(cache.LookupInstance(Bits(128, {i})),
               DecompCache::Outcome::kUnknown);
-    cache.InsertNegative(Bits(8, {i}), Bits(8, {(i + 1) % 8}), 2);
+    cache.InsertInstance(Bits(128, {i}), i, OneNodeSubtree(Bits(8, {i})));
   }
   for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(cache.Lookup(Bits(8, {i}), Bits(8, {(i + 1) % 8}), 2),
-              DecompCache::Outcome::kNegative);
+    int meta = -1;
+    EXPECT_EQ(cache.LookupInstance(Bits(128, {i}), &meta),
+              DecompCache::Outcome::kPositive);
+    EXPECT_EQ(meta, i);
   }
   EXPECT_EQ(cache.NumEntries(), size_t{8});
+  EXPECT_EQ(cache.ShardEntryCounts(), std::vector<size_t>{8});
 }
 
 }  // namespace

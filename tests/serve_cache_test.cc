@@ -160,15 +160,6 @@ TEST(ServeCacheTest, DecompCacheInstanceEntries) {
   size_t total = 0;
   for (size_t count : cache.ShardEntryCounts()) total += count;
   EXPECT_EQ(total, size_t{1});
-
-  // The instance keyspace (k = -2) does not collide with det-k entries
-  // for the same bitset.
-  cache.InsertNegative(norm.key_bits, Bitset(), 1);
-  EXPECT_EQ(cache.Lookup(norm.key_bits, Bitset(), 1),
-            DecompCache::Outcome::kNegative);
-  EXPECT_EQ(cache.LookupInstance(norm.key_bits),
-            DecompCache::Outcome::kPositive);
-  EXPECT_EQ(cache.NumEntries(), size_t{2});
 }
 
 class PersistentStoreTest : public ::testing::Test {

@@ -15,6 +15,7 @@
 #include "hypergraph/parser.h"
 #include "serve/protocol.h"
 #include "util/json.h"
+#include "util/metrics.h"
 #include "util/thread_pool.h"
 
 namespace hypertree {
@@ -80,7 +81,8 @@ TEST(ServeServiceTest, SolvedThenMemoryThenDiskAnswerIdenticalWitnesses) {
 TEST(ServeServiceTest, OutOfRangeStoredMetaIsAMissNotAnAbort) {
   // A stored width or lower bound the memory level cannot pack (15 bits,
   // non-negative) marks the disk entry corrupt: a fresh service must
-  // solve the instance again instead of promoting the entry.
+  // solve the instance again instead of promoting the entry, and count
+  // the failed load.
   const std::string dir =
       ::testing::TempDir() + "serve_service_test_corrupt_meta";
   std::filesystem::remove_all(dir);
@@ -103,6 +105,9 @@ TEST(ServeServiceTest, OutOfRangeStoredMetaIsAMissNotAnAbort) {
     std::getline(in, meta_text);
   }
 
+  metrics::Counter& load_failures =
+      metrics::GetCounter("serve.store_load_failures");
+  const long failures_before = load_failures.Value();
   for (const char* field : {"width", "lower_bound"}) {
     for (long value : {40000L, -1L}) {
       std::optional<Json> meta = Json::Parse(meta_text);
@@ -120,6 +125,8 @@ TEST(ServeServiceTest, OutOfRangeStoredMetaIsAMissNotAnAbort) {
       EXPECT_EQ(Field(again, "witness"), Field(cold, "witness"));
     }
   }
+  // One failed load per corrupted meta.
+  EXPECT_EQ(load_failures.Value() - failures_before, 4);
   std::filesystem::remove_all(dir);
 }
 

@@ -9,8 +9,9 @@
 //                       (default bb; --algorithm is an alias)
 //   --measure=...       ghw | tw | hw | fhw                     (default ghw)
 //   --time-limit=SEC    budget for the exact searches             (default 10)
-//   --threads=N         worker threads for the parallel search phases
-//                       (default: hardware concurrency)
+//   --threads=N         racing threads for --method=portfolio (default:
+//                       hardware concurrency); every other method runs
+//                       on one thread
 //   --seed=N            RNG seed                                  (default 1)
 //   --output=FILE       write the witness decomposition: .td (PACE, tw
 //                       only) or .dot
@@ -129,7 +130,8 @@ int Usage() {
                "[--output=FILE] [--quiet] [--json]\n"
                "       [--kernel-backend=auto|scalar|avx2]\n"
                "       [--portfolio-trace] <instance>\n"
-               "       (--algorithm is an alias for --method)\n");
+               "       (--algorithm is an alias for --method; --threads "
+               "sizes the portfolio race)\n");
   return 2;
 }
 
@@ -203,7 +205,6 @@ int main(int argc, char** argv) {
     SearchOptions opts;
     opts.time_limit_seconds = budget;
     opts.seed = seed;
-    opts.threads = threads;
     std::optional<HypertreeDecomposition> hd;
     WidthResult res = HypertreeWidth(*h, opts, &hd);
     if (json) {
@@ -251,7 +252,6 @@ int main(int argc, char** argv) {
       SearchOptions opts;
       opts.time_limit_seconds = budget;
       opts.seed = seed;
-      opts.threads = threads;
       WidthResult res = BranchAndBoundTreewidth(eval.primal(), opts);
       width = res.upper_bound;
       exact = res.exact;
@@ -262,7 +262,6 @@ int main(int argc, char** argv) {
       GhwSearchOptions opts;
       opts.time_limit_seconds = budget;
       opts.seed = seed;
-      opts.threads = threads;
       WidthResult res = BranchAndBoundGhw(*h, opts);
       width = res.upper_bound;
       exact = res.exact;
@@ -275,7 +274,6 @@ int main(int argc, char** argv) {
       SearchOptions opts;
       opts.time_limit_seconds = budget;
       opts.seed = seed;
-      opts.threads = threads;
       WidthResult res = AStarTreewidth(eval.primal(), opts);
       width = res.upper_bound;
       exact = res.exact;
@@ -286,7 +284,6 @@ int main(int argc, char** argv) {
       GhwSearchOptions opts;
       opts.time_limit_seconds = budget;
       opts.seed = seed;
-      opts.threads = threads;
       WidthResult res = AStarGhw(*h, opts);
       width = res.upper_bound;
       exact = res.exact;

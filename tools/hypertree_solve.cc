@@ -7,12 +7,12 @@
 //   --tightness=T     fraction of allowed tuples (default 0.3)
 //   --plant           plant a random solution (default off)
 //   --seed=N          RNG seed (default 1)
-//   --threads=N       worker threads for the hw search and the parallel
-//                     td/ghd solving + counting routes (default: hardware
-//                     concurrency; 1 runs sequentially — results and the
-//                     relation counters are identical either way)
-//   --hw              also compute hw via det-k-decomp (parallel) and
-//                     report its decomposition cache statistics
+//   --threads=N       worker threads for the parallel td/ghd solving +
+//                     counting routes (default: hardware concurrency; 1
+//                     runs sequentially — results and the relation
+//                     counters are identical either way)
+//   --hw              also compute hw via det-k-decomp (one thread) and
+//                     report its subproblem memo statistics
 //   --count           also count all solutions
 //   --route=...       td | ghd | bt | all (default all)
 //   --kernel-backend=  auto | scalar | avx2: bitwise kernel
@@ -186,7 +186,6 @@ int main(int argc, char** argv) {
     SearchOptions sopts;
     sopts.time_limit_seconds = 10.0;
     sopts.seed = seed;
-    sopts.threads = threads;
     WidthResult hw = HypertreeWidth(*h, sopts, nullptr);
     if (json) {
       PrintJsonRecord(h->name(), "det_k_hw", hw.upper_bound, hw.exact,
