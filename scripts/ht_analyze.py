@@ -19,7 +19,7 @@ Escape hatch: `// ht-analyze: allow(<rule-id>)` on the offending line or
 the line directly above suppresses exactly that rule on that line.
 
 Rules (ids are stable; full catalog in docs/STATIC_ANALYSIS.md):
-    pool-capture      lambdas handed to ThreadPool::Submit / RunForAll /
+    pool-capture      lambdas handed to ThreadPool::Submit /
                       RunTreeBottomUp / RunTreeTopDown must name every
                       capture: no `[&]` / `[=]` capture-defaults, no
                       `this`. What crosses the thread boundary must be
@@ -328,7 +328,7 @@ class DeclTable:
 # Rule implementations. Each takes (ctx) and appends to ctx.findings.
 # ---------------------------------------------------------------------------
 
-POOL_ENTRYPOINTS = {"Submit", "RunForAll", "RunTreeBottomUp", "RunTreeTopDown"}
+POOL_ENTRYPOINTS = {"Submit", "RunTreeBottomUp", "RunTreeTopDown"}
 
 DCHECK_MACROS = {"HT_DCHECK", "HT_DCHECK_EQ", "HT_DCHECK_NE", "HT_DCHECK_LT",
                  "HT_DCHECK_LE", "HT_DCHECK_GT", "HT_DCHECK_GE"}
@@ -417,8 +417,9 @@ def rule_pool_capture(ctx):
         if i + 1 >= len(toks) or toks[i + 1].text != "(":
             continue
         # Skip declarations/definitions: in `void Submit(std::function...)`
-        # or `int RunForAll(int count, ...)` the name is preceded by a
-        # type token; call sites have `.`/`->`/`(`/`,`/`;`/... before it.
+        # or `void RunTreeBottomUp(const TreeShape& tree, ...)` the name is
+        # preceded by a type token; call sites have `.`/`->`/`(`/`,`/`;`/...
+        # before it.
         p = prev_sig(toks, i)
         if p >= 0 and toks[p].kind == "id":
             continue

@@ -187,9 +187,10 @@ std::optional<Relation> AnswerQuery(const ConjunctiveQuery& q,
   }
 
   // Bottom-up join with projection onto connector + subtree-head vars
-  // (children finish before their parent joins them, so subtrees run
-  // concurrently). Per-node join sizes go to slots and are summed
-  // afterwards, so the stats are deterministic under any schedule.
+  // (children finish before their parent joins them, so the nodes of one
+  // depth level run concurrently). Per-node join sizes go to slots and
+  // are summed afterwards, so the stats are deterministic under any
+  // schedule.
   std::vector<Relation> answers(m);
   std::vector<long> join_tuples(m, 0);
   RunTreeBottomUp(shape, pool,

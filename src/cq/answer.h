@@ -35,8 +35,8 @@ struct AnswerStats {
 /// with one tuple (true) or none (false). Fails (nullopt + error) on a
 /// query that fails ValidateConjunctiveQuery, repeated head variables,
 /// missing tables or arity mismatches. With a pool, the per-node bag
-/// joins and the Yannakakis passes run in parallel across independent
-/// subtrees; the answer relation (schema, tuples and tuple order) is
+/// joins and the Yannakakis passes (one depth level at a time) run in
+/// parallel; the answer relation (schema, tuples and tuple order) is
 /// bit-identical for any thread count.
 std::optional<Relation> AnswerQuery(const ConjunctiveQuery& q,
                                     const Database& db,

@@ -18,7 +18,7 @@ long long CountRelationTree(const RelationTree& tree, ThreadPool* pool) {
 
   // weight[p][t] = number of consistent completions of tuple t within the
   // subtree of p. Children are aggregated before their parent runs, so
-  // independent subtrees can be processed in parallel.
+  // the nodes of one depth level can be processed in parallel.
   std::vector<std::vector<long long>> weight(m);
   RunTreeBottomUp(shape, pool, [&tree, &shape, &weight, pool](int p) {
     weight[p].assign(tree.relations[p].Size(), 1);

@@ -6,7 +6,7 @@
 // Each child's weights are summed per key code and multiplied into its
 // parent's rows by the morsel engine (EngineWeightedSemijoin: the join's
 // key codes and dense/hash table, morsel-parallel), and the bottom-up pass
-// parallelizes across independent subtrees when given a ThreadPool
+// runs each depth level in parallel when given a ThreadPool
 // (deterministic counts for any thread count).
 
 #ifndef HYPERTREE_CSP_COUNTING_H_

@@ -216,8 +216,8 @@ RelationTree BuildRelationTreeFromTd(const Csp& csp,
   RelationTree tree;
   tree.relations.resize(td.NumNodes());
   // The bags are independent subproblems: solve them in parallel. Each
-  // task writes only its own slot, so results are schedule-independent.
-  RunForAll(td.NumNodes(), pool, [&tree, &csp, &td](int p) {
+  // visit writes only its own slot, so results are schedule-independent.
+  ParallelFor(td.NumNodes(), pool, [&tree, &csp, &td](int p) {
     tree.relations[p] = SolveBag(csp, td.Bag(p).ToVector());
   });
   tree.shape = TreeShape(td.NumNodes(), td.TreeEdges(), /*root=*/0);
@@ -246,7 +246,7 @@ RelationTree BuildRelationTreeFromGhd(
   tree.relations.resize(m);
   // Per-node bag joins are independent; fan them out over the pool. The
   // bags only read the edge relations, so they share them.
-  RunForAll(m, pool, [&complete, &edge_relations, &tree, pool](int p) {
+  ParallelFor(m, pool, [&complete, &edge_relations, &tree, pool](int p) {
     std::vector<const Relation*> lambda;
     for (int e : complete.Lambda(p)) lambda.push_back(edge_relations[e]);
     tree.relations[p] =

@@ -12,8 +12,9 @@
 // (cq/answer.h) builds its tree with the same GHD builder.
 //
 // All entry points take an optional ThreadPool: the per-node bag joins are
-// independent and run in parallel, and the Yannakakis passes parallelize
-// across subtrees (deterministic results for any thread count).
+// independent and run in parallel, and the Yannakakis passes run each
+// depth level of the tree in parallel (deterministic results for any
+// thread count).
 
 #ifndef HYPERTREE_CSP_DECOMPOSITION_SOLVING_H_
 #define HYPERTREE_CSP_DECOMPOSITION_SOLVING_H_

@@ -35,8 +35,15 @@ TreeShape::TreeShape(int num_nodes,
   seen[root] = 1;
   order_.push_back(root);
   // BFS over sorted neighbor lists: a node's unseen neighbors when it is
-  // dequeued are its children, so they come out in ascending id.
+  // dequeued are its children, so they come out in ascending id. When
+  // the scan reaches the end of one level, every node of the next level
+  // is queued and none deeper.
+  size_t level_end = 1;
   for (size_t i = 0; i < order_.size(); ++i) {
+    if (i == level_end) {
+      level_begin_.push_back(static_cast<int>(i));
+      level_end = order_.size();
+    }
     const int p = order_[i];
     std::sort(adj[p].begin(), adj[p].end());
     for (int q : adj[p]) {
@@ -49,77 +56,29 @@ TreeShape::TreeShape(int num_nodes,
   }
   HT_CHECK_EQ(order_.size(), static_cast<size_t>(num_nodes))
       << "tree shape: not a single tree";
+  level_begin_.push_back(num_nodes);
 }
 
 void RunTreeBottomUp(const TreeShape& tree, ThreadPool* pool,
                      const std::function<void(int)>& visit) {
-  const int m = tree.NumNodes();
-  if (m == 0) return;
-  if (pool == nullptr || pool->NumThreads() <= 1 || m == 1) {
-    const std::vector<int>& order = tree.order();
-    for (size_t i = order.size(); i-- > 0;) visit(order[i]);
-    return;
+  const std::vector<int>& order = tree.order();
+  // Each level right to left, so a run on the caller is reverse order().
+  for (int d = tree.NumLevels(); d-- > 0;) {
+    const int begin = tree.level_begin()[d];
+    const int end = tree.level_begin()[d + 1];
+    ParallelFor(end - begin, pool,
+                [&order, &visit, end](int i) { visit(order[end - 1 - i]); });
   }
-  // One countdown per node; a node is ready once all children finished.
-  // Tasks submit their parent when they complete its last dependency, so
-  // the pool's Wait() (which tracks nested submissions) covers the run.
-  std::vector<std::atomic<int>> pending(m);
-  for (int i = 0; i < m; ++i) {
-    pending[i].store(static_cast<int>(tree.children(i).size()),
-                     std::memory_order_relaxed);
-  }
-  std::atomic<int> visited{0};
-  std::function<void(int)> run = [&](int node) {
-    visit(node);
-    visited.fetch_add(1, std::memory_order_relaxed);
-    int p = tree.parent(node);
-    if (p >= 0 &&
-        pending[p].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      pool->Submit([&run, p] { run(p); });
-    }
-  };
-  for (int i = 0; i < m; ++i) {
-    if (tree.children(i).empty()) pool->Submit([&run, i] { run(i); });
-  }
-  pool->Wait();
-  // Relaxed: Wait() orders every worker's fetch_add before this load.
-  HT_CHECK_MSG(visited.load(std::memory_order_relaxed) == m,
-               "tree_schedule: bottom-up pass skipped a node");
 }
 
 void RunTreeTopDown(const TreeShape& tree, ThreadPool* pool,
                     const std::function<void(int)>& visit) {
-  const int m = tree.NumNodes();
-  if (m == 0) return;
-  if (pool == nullptr || pool->NumThreads() <= 1 || m == 1) {
-    for (int node : tree.order()) visit(node);
-    return;
+  const std::vector<int>& order = tree.order();
+  for (int d = 0; d < tree.NumLevels(); ++d) {
+    const int begin = tree.level_begin()[d];
+    ParallelFor(tree.level_begin()[d + 1] - begin, pool,
+                [&order, &visit, begin](int i) { visit(order[begin + i]); });
   }
-  std::atomic<int> visited{0};
-  std::function<void(int)> run = [&](int node) {
-    visit(node);
-    visited.fetch_add(1, std::memory_order_relaxed);
-    for (int c : tree.children(node)) pool->Submit([&run, c] { run(c); });
-  };
-  const int root = tree.root();
-  pool->Submit([&run, root] { run(root); });
-  pool->Wait();
-  // Relaxed: Wait() orders every worker's fetch_add before this load.
-  HT_CHECK_MSG(visited.load(std::memory_order_relaxed) == m,
-               "tree_schedule: top-down pass skipped a node");
-}
-
-void RunForAll(int count, ThreadPool* pool,
-               const std::function<void(int)>& visit) {
-  if (count <= 0) return;
-  if (pool == nullptr || pool->NumThreads() <= 1 || count == 1) {
-    for (int i = 0; i < count; ++i) visit(i);
-    return;
-  }
-  for (int i = 0; i < count; ++i) {
-    pool->Submit([&visit, i] { visit(i); });
-  }
-  pool->Wait();
 }
 
 void ParallelFor(int count, ThreadPool* pool,

@@ -19,8 +19,8 @@ bool FullyReduce(RelationTree* tree, ThreadPool* pool) {
   // completion even when some node empties: the filters are
   // deterministic, so the relation contents and the kernel's metrics
   // counters stay bit-identical for any thread count, SAT or UNSAT.
-  // Within-bag morsel parallelism composes with the across-bag tree
-  // schedule: EngineSemijoinInPlace cuts the probe side into morsels and
+  // Within-bag morsel parallelism composes with the across-bag level
+  // loop: EngineSemijoinInPlace cuts the probe side into morsels and
   // ParallelFor lets idle pool threads steal them, so one huge bag no
   // longer serializes the whole pass. Counter totals and survivors are
   // schedule-independent (see morsel.h), keeping the pass deterministic.

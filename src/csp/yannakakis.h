@@ -12,10 +12,11 @@
 // AnswerQuery enumerates, all from that one shape.
 //
 // Both passes are in-place semijoins on the morsel engine, and both
-// can run the independent subtrees in parallel over a ThreadPool: a node's
-// bottom-up filter only reads its (already reduced) children, a node's
-// top-down filter only reads its (already reduced) parent, so the result
-// is bit-identical for any thread count (see src/csp/tree_schedule.h).
+// can run each depth level of the tree in parallel over a ThreadPool: a
+// node's bottom-up filter only reads its (already reduced) children, a
+// node's top-down filter only reads its (already reduced) parent, so the
+// result is bit-identical for any thread count (see
+// src/csp/tree_schedule.h).
 
 #ifndef HYPERTREE_CSP_YANNAKAKIS_H_
 #define HYPERTREE_CSP_YANNAKAKIS_H_

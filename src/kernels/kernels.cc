@@ -120,27 +120,10 @@ int AndCount(uint64_t* dst, const uint64_t* a, const uint64_t* b,
   return c;
 }
 
-int AndNotCount(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                int nwords) {
-  int c = 0;
-  for (int i = 0; i < nwords; ++i) {
-    dst[i] = a[i] & ~b[i];
-    c += __builtin_popcountll(dst[i]);
-  }
-  return c;
-}
-
 int IntersectCount(const uint64_t* a, const uint64_t* b, int nwords) {
   int c = 0;
   for (int i = 0; i < nwords; ++i) c += __builtin_popcountll(a[i] & b[i]);
   return c;
-}
-
-bool AndNotIsEmpty(const uint64_t* a, const uint64_t* b, int nwords) {
-  for (int i = 0; i < nwords; ++i) {
-    if ((a[i] & ~b[i]) != 0) return false;
-  }
-  return true;
 }
 
 void PackKeys(uint64_t* keys, const int* rows, size_t stride, const int* pos,
@@ -439,9 +422,7 @@ const Ops& ScalarRaw() {
       scalar::ScoreRows,
       scalar::MaxIntersect,
       scalar::AndCount,
-      scalar::AndNotCount,
       scalar::IntersectCount,
-      scalar::AndNotIsEmpty,
       scalar::PackKeys,
       scalar::ProbeKeys,
   };

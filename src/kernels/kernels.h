@@ -117,15 +117,8 @@ struct Ops {
   int (*AndCount)(uint64_t* dst, const uint64_t* a, const uint64_t* b,
                   int nwords);
 
-  /// dst = a & ~b with fused popcount (dst may alias a or b).
-  int (*AndNotCount)(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                     int nwords);
-
   /// popcount(a & b) without materializing the intersection.
   int (*IntersectCount)(const uint64_t* a, const uint64_t* b, int nwords);
-
-  /// (a & ~b) == 0, i.e. a is a subset of b.
-  bool (*AndNotIsEmpty)(const uint64_t* a, const uint64_t* b, int nwords);
 
   /// Join-engine key materialization: keys[r] = the k values
   /// rows[r * stride + pos[i]] packed big-endian (pos[0] in the top

@@ -256,33 +256,8 @@ HT_AVX2 int AndCount(uint64_t* dst, const uint64_t* a, const uint64_t* b,
   return c;
 }
 
-HT_AVX2 int AndNotCount(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                        int nwords) {
-  int i = 0;
-  __m256i acc = _mm256_setzero_si256();
-  for (; i + 4 <= nwords; i += 4) {
-    const __m256i av =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i bv =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i r = _mm256_andnot_si256(bv, av);  // a & ~b
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), r);
-    acc = _mm256_add_epi64(acc, Popcnt256(r));
-  }
-  int c = static_cast<int>(Hsum256(acc));
-  for (; i < nwords; ++i) {
-    dst[i] = a[i] & ~b[i];
-    c += __builtin_popcountll(dst[i]);
-  }
-  return c;
-}
-
 HT_AVX2 int IntersectCount(const uint64_t* a, const uint64_t* b, int nwords) {
   return PopcountIntersectRow(a, b, nwords);
-}
-
-HT_AVX2 bool AndNotIsEmpty(const uint64_t* a, const uint64_t* b, int nwords) {
-  return !RowNotSubset(a, b, nwords);
 }
 
 // ---------------------------------------------------------------------------
@@ -435,9 +410,7 @@ const Ops& Avx2Raw() {
       ScoreRows,
       MaxIntersect,
       AndCount,
-      AndNotCount,
       IntersectCount,
-      AndNotIsEmpty,
       PackKeys,
       ProbeKeys,
   };

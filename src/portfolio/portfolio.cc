@@ -14,7 +14,6 @@
 #include "hd/det_k_decomp.h"
 #include "ls/local_search.h"
 #include "ordering/heuristics.h"
-#include "portfolio/shared_bounds.h"
 #include "util/check.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
@@ -49,6 +48,7 @@ struct EngineOutcome {
   bool has_ordering = false;
   bool proved = false;
   int proved_width = -1;
+  double proved_at_seconds = -1;  // race clock at the proof; -1: none
   DecompCacheStats cache_stats;
 };
 
@@ -257,9 +257,16 @@ PortfolioResult PortfolioGhw(const Hypergraph& h,
   }
 
   // ---- Race. ----
+  // The supersede rule: an engine that proves optimality cancels every
+  // engine with a larger index through its token; lower-indexed engines
+  // run to completion. So whether engine i finishes never depends on
+  // scheduling (only provers ordered before it can cancel it, and their
+  // runs are deterministic), and the lowest-indexed prover names the same
+  // winner for every --threads value.
   int threads = options.threads > 0 ? options.threads
                                     : ThreadPool::HardwareThreads();
-  SharedBounds shared(static_cast<int>(pr.plan.lineup.size()));
+  Timer race_timer;
+  std::vector<CancellationToken> tokens(pr.plan.lineup.size());
   std::vector<EngineOutcome> outcomes(pr.plan.lineup.size());
   EnginesRacedMetric().Add(static_cast<long>(pr.plan.lineup.size()));
   if (options.trace) {
@@ -270,16 +277,16 @@ PortfolioResult PortfolioGhw(const Hypergraph& h,
     ThreadPool pool(std::min<int>(
         threads, static_cast<int>(pr.plan.lineup.size())));
     for (size_t i = 0; i < pr.plan.lineup.size(); ++i) {
-      pool.Submit([&outcomes, &pr, &shared, &options, &h, static_lb, u0,
-                   i] {
+      pool.Submit([&outcomes, &pr, &tokens, &race_timer, &options, &h,
+                   static_lb, u0, i] {
         EngineOutcome& out = outcomes[i];
         out.stats = pr.engines[i];
         // Supersede cancellation from lower-indexed provers, merged with
         // the caller's external token (request deadline / shutdown). The
         // exact engines poll the combined token in their inner loops; the
         // heuristic engines bound their run by time_limit_seconds.
-        CancellationToken token = CancellationToken::AnyOf(
-            shared.TokenFor(static_cast<int>(i)), options.cancel);
+        CancellationToken token =
+            CancellationToken::AnyOf(tokens[i], options.cancel);
         if (token.Cancelled()) {
           out.stats.cancelled = true;
           return;
@@ -288,7 +295,8 @@ PortfolioResult PortfolioGhw(const Hypergraph& h,
         RunEngine(h, pr.plan.lineup[i], options, static_lb, u0, token, &out);
         if (out.proved) {
           out.stats.proved = true;
-          shared.Prove(static_cast<int>(i));
+          out.proved_at_seconds = race_timer.ElapsedSeconds();
+          for (size_t j = i + 1; j < tokens.size(); ++j) tokens[j].Cancel();
         } else if (token.Cancelled()) {
           out.stats.cancelled = true;
         }
@@ -297,8 +305,14 @@ PortfolioResult PortfolioGhw(const Hypergraph& h,
     pool.Wait();
   }
 
-  double settled = shared.ElapsedSeconds();
-  double first_prove = shared.FirstProveSeconds();
+  const double settled = race_timer.ElapsedSeconds();
+  double first_prove = -1;
+  for (const EngineOutcome& out : outcomes) {
+    if (!out.proved) continue;
+    if (first_prove < 0 || out.proved_at_seconds < first_prove) {
+      first_prove = out.proved_at_seconds;
+    }
+  }
   if (first_prove >= 0) pr.cancel_latency_seconds = settled - first_prove;
 
   // ---- Verdict (main thread, lineup-index order: deterministic). ----

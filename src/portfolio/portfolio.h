@@ -1,7 +1,7 @@
 // Racing portfolio solver for ghw (ROADMAP: "portfolio layer").
 //
 // PortfolioGhw races the routed engine lineup concurrently on a
-// ThreadPool around a SharedBounds object:
+// ThreadPool, one cancellation token per engine:
 //
 //   prologue (deterministic, single-threaded):
 //     features -> router -> static lower bound -> heuristic incumbent u0
@@ -9,7 +9,7 @@
 //     every engine starts from the same prologue bounds
 //     (initial_upper_bound = u0) under deterministic node/iteration
 //     budgets; an engine that PROVES optimality cancels all
-//     higher-indexed engines (SharedBounds::Prove)
+//     higher-indexed engines through their tokens
 //   verdict:
 //     winner = lowest-indexed prover; its width/nodes and the prologue
 //     bounds form the result

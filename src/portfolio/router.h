@@ -45,7 +45,7 @@ struct RoutingPlan {
 /// Picks the racing lineup for an instance with features `f`.
 /// `node_budget` is the portfolio's total node allowance (<= 0:
 /// unlimited); the router splits it across the lineup — the lead prover
-/// gets half, each follower an eighth — so that on instances where no
+/// gets half, each follower a sixteenth — so that on instances where no
 /// engine can prove optimality (every engine runs its budget out, nothing
 /// gets cancelled) the race still costs no more than one full
 /// single-engine run.

@@ -1,5 +1,6 @@
 #include "search/decomp_cache.h"
 
+#include "util/check.h"
 #include "util/metrics.h"
 
 namespace hypertree {
@@ -30,38 +31,18 @@ void AddDecompCacheMetrics(const DecompCacheStats& stats) {
   InsertsMetric().Add(stats.inserts);
 }
 
-void DecompCache::CountHit() {
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  HitsMetric().Increment();
-}
-
-void DecompCache::CountMiss() {
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  MissesMetric().Increment();
-}
-
-void DecompCache::CountInsert() {
-  inserts_.fetch_add(1, std::memory_order_relaxed);
-  InsertsMetric().Increment();
-}
-
-DecompCache::DecompCache(int num_shards) {
-  int n = num_shards < 1 ? 1 : num_shards;
-  shards_.reserve(n);
-  for (int i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>());
-}
-
 DecompCache::Outcome DecompCache::LookupInstance(
     const Bitset& key, int* meta,
     std::shared_ptr<const CachedSubtree>* subtree) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end()) {
-    CountMiss();
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = map_.find(key);
+  if (it == map_.end()) {
+    ++stats_.misses;
+    MissesMetric().Increment();
     return Outcome::kUnknown;
   }
-  CountHit();
+  ++stats_.hits;
+  HitsMetric().Increment();
   if (meta != nullptr) *meta = it->second.meta;
   if (subtree != nullptr) *subtree = it->second.subtree;
   return Outcome::kPositive;
@@ -75,42 +56,26 @@ void DecompCache::InsertInstance(const Bitset& key, int meta,
       << "cached subtree chi/parent arrays out of step";
   HT_CHECK_EQ(subtree->lambda.size(), subtree->parent.size())
       << "cached subtree lambda/parent arrays out of step";
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.map.try_emplace(key, Entry{meta, std::move(subtree)}).second) {
-    CountInsert();
+  std::lock_guard<std::mutex> lock(mu_);
+  if (map_.try_emplace(key, Entry{meta, std::move(subtree)}).second) {
+    ++stats_.inserts;
+    InsertsMetric().Increment();
   }
-}
-
-std::vector<size_t> DecompCache::ShardEntryCounts() const {
-  std::vector<size_t> counts;
-  counts.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    counts.push_back(shard->map.size());
-  }
-  return counts;
 }
 
 size_t DecompCache::NumEntries() const {
-  size_t total = 0;
-  for (size_t c : ShardEntryCounts()) total += c;
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return map_.size();
 }
 
 DecompCacheStats DecompCache::stats() const {
-  DecompCacheStats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.inserts = inserts_.load(std::memory_order_relaxed);
-  return s;
+  std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
 }
 
 void DecompCache::Clear() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->map.clear();
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  map_.clear();
 }
 
 }  // namespace hypertree

@@ -7,9 +7,11 @@
 // The on-disk level serializes the same witnesses through
 // src/io/ghd_format.
 //
-// The table is sharded by key hash; every shard has its own mutex, so
-// concurrent request handlers rarely contend. Hit/miss/insert counters
-// are maintained with relaxed atomics and reported via stats().
+// The table is one hash map behind one mutex: the service handles one
+// request at a time, and the lock covers a reader on another thread (a
+// client replaying traffic in the same process) probing it while the
+// service writes. Hit/miss/insert counters are kept under the same lock
+// and reported via stats().
 //
 // The exact searches run on one thread each and keep their memos in
 // private tables (det-k's subproblem memo, the elimination searches'
@@ -19,14 +21,12 @@
 #ifndef HYPERTREE_SEARCH_DECOMP_CACHE_H_
 #define HYPERTREE_SEARCH_DECOMP_CACHE_H_
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
 
 #include "util/bitset.h"
-#include "util/check.h"
 
 namespace hypertree {
 
@@ -64,9 +64,6 @@ class DecompCache {
  public:
   enum class Outcome { kUnknown, kPositive };
 
-  /// `num_shards` independent lock domains (rounded up to at least 1).
-  explicit DecompCache(int num_shards = 16);
-
   /// Whole-instance witness lookup. On kPositive, `*meta` / `*subtree`
   /// (when non-null) receive the stored meta word and decomposition.
   Outcome LookupInstance(const Bitset& key, int* meta = nullptr,
@@ -81,15 +78,7 @@ class DecompCache {
   /// Snapshot of the counters.
   DecompCacheStats stats() const;
 
-  /// Number of lock shards.
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-
-  /// Entries currently stored, per shard (index-aligned with the shard
-  /// ids). Takes each shard lock in turn; values from different shards
-  /// are not a consistent cut under concurrent writers.
-  std::vector<size_t> ShardEntryCounts() const;
-
-  /// Total entries currently stored (sum of ShardEntryCounts()).
+  /// Entries currently stored.
   size_t NumEntries() const;
 
   /// Drops all entries (counters are kept).
@@ -100,28 +89,10 @@ class DecompCache {
     int meta = 0;
     std::shared_ptr<const CachedSubtree> subtree;
   };
-  struct Shard {
-    std::mutex mu;
-    std::unordered_map<Bitset, Entry> map;
-  };
 
-  // Bump the per-instance atomic and its process-wide metrics mirror.
-  void CountHit();
-  void CountMiss();
-  void CountInsert();
-
-  Shard& ShardFor(const Bitset& key) {
-    HT_DCHECK(!shards_.empty());
-    const size_t shard = std::hash<Bitset>{}(key) % shards_.size();
-    HT_DCHECK_LT(shard, shards_.size());
-    HT_DCHECK(shards_[shard] != nullptr);
-    return *shards_[shard];
-  }
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<long> hits_{0};
-  std::atomic<long> misses_{0};
-  std::atomic<long> inserts_{0};
+  mutable std::mutex mu_;
+  std::unordered_map<Bitset, Entry> map_;
+  DecompCacheStats stats_;
 };
 
 }  // namespace hypertree

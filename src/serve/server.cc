@@ -36,9 +36,7 @@ Json ErrorResponse(const std::string& message) {
 }  // namespace
 
 DecompositionService::DecompositionService(const ServerOptions& options)
-    : options_(options),
-      cache_(options.mem_shards),
-      store_(options.cache_dir, options.cache_max_bytes) {}
+    : options_(options), store_(options.cache_dir, options.cache_max_bytes) {}
 
 Json DecompositionService::Handle(const Json& request,
                                   const CancellationToken& cancel) {
@@ -192,12 +190,6 @@ Json DecompositionService::HandleStats() const {
   resp.Set("status", "ok");
   resp.Set("op", "stats");
   resp.Set("mem_entries", static_cast<long>(cache_.NumEntries()));
-  resp.Set("mem_shards", cache_.num_shards());
-  Json shard_entries = Json::Array();
-  for (size_t count : cache_.ShardEntryCounts()) {
-    shard_entries.Append(static_cast<long>(count));
-  }
-  resp.Set("shard_entries", std::move(shard_entries));
   resp.Set("cache_hits", stats.hits);
   resp.Set("cache_misses", stats.misses);
   resp.Set("cache_inserts", stats.inserts);
@@ -218,11 +210,6 @@ Json DecompositionService::MetricsRecord(long seq, const Json& response) const {
     if (const Json* value = response.Find(field)) record.Set(field, *value);
   }
   record.Set("mem_entries", static_cast<long>(cache_.NumEntries()));
-  Json shard_entries = Json::Array();
-  for (size_t count : cache_.ShardEntryCounts()) {
-    shard_entries.Append(static_cast<long>(count));
-  }
-  record.Set("shard_entries", std::move(shard_entries));
   DecompCacheStats stats = cache_.stats();
   record.Set("cache_hits", stats.hits);
   record.Set("cache_misses", stats.misses);

@@ -9,7 +9,7 @@
 //   {"op":"shutdown"}   acknowledge, then stop the serve loop
 //
 // A decompose answer reports where it came from (`source`): "memory"
-// (sharded DecompCache instance entry), "disk" (persistent store), or
+// (DecompCache instance entry), "disk" (persistent store), or
 // "solved" (portfolio run on a cold miss). All three produce
 // byte-identical `witness` text for the same instance — see
 // serve/cache_store.h. Only exactly-solved instances are cached; a
@@ -36,7 +36,6 @@ struct ServerOptions {
   std::string metrics_path;      // empty: no NDJSON metrics file
   double default_budget_seconds = 10.0;  // per-request solve budget
   int threads = 0;               // portfolio racing threads; 0: hardware
-  int mem_shards = 16;           // DecompCache lock shards
   long max_requests = 0;         // stop after this many requests; 0: run on
 };
 
@@ -55,8 +54,8 @@ class DecompositionService {
   Json Handle(const Json& request, const CancellationToken& cancel);
 
   /// One NDJSON metrics record for a handled (request, response) pair:
-  /// op/status/source/key/width/wall_ms/solve_ms plus live cache-shard
-  /// occupancy. `seq` is the 0-based request ordinal.
+  /// op/status/source/key/width/wall_ms/solve_ms plus the memory level's
+  /// entry count and counters. `seq` is the 0-based request ordinal.
   Json MetricsRecord(long seq, const Json& response) const;
 
   DecompCache& cache() { return cache_; }

@@ -279,33 +279,6 @@ class Bitset {
   /// sites).
   void AssignDiff(const Bitset& a, const Bitset& b) { AssignAndNot(a, b); }
 
-  /// this = a & b with a fused population count of the result: one pass
-  /// over the words instead of AssignAnd + Count.
-  int AssignAndCount(const Bitset& a, const Bitset& b) {
-    HT_DCHECK(size_ == a.size_ && size_ == b.size_);
-    uint64_t* w = words();
-    const uint64_t* aw = a.words();
-    const uint64_t* bw = b.words();
-    int c = 0;
-    for (int i = 0; i < nwords_; ++i) {
-      w[i] = aw[i] & bw[i];
-      c += __builtin_popcountll(w[i]);
-    }
-    return c;
-  }
-
-  /// True if this \ o is empty (equivalently: this is a subset of o)
-  /// without materializing the difference.
-  bool AndNotIsEmpty(const Bitset& o) const {
-    HT_DCHECK(size_ == o.size_);
-    const uint64_t* w = words();
-    const uint64_t* ow = o.words();
-    for (int i = 0; i < nwords_; ++i) {
-      if ((w[i] & ~ow[i]) != 0) return false;
-    }
-    return true;
-  }
-
   /// True if this ∩ a ∩ ~b is non-empty, i.e. this intersects (a \ b),
   /// without materializing either intermediate.
   bool IntersectsAndNot(const Bitset& a, const Bitset& b) const {

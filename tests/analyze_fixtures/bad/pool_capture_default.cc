@@ -10,14 +10,16 @@ struct ThreadPool {
   void Submit(F f);
 };
 
-template <typename F>
-void RunForAll(int count, ThreadPool* pool, F f);
+struct TreeShape {};
 
-void Defaults(ThreadPool& pool, int n) {
+template <typename F>
+void RunTreeBottomUp(const TreeShape& tree, ThreadPool* pool, F f);
+
+void Defaults(ThreadPool& pool, const TreeShape& tree, int n) {
   int total = 0;
   pool.Submit([&] { total += n; });
   pool.Submit([=] { (void)n; });
-  RunForAll(n, &pool, [&](int i) { total += i; });
+  RunTreeBottomUp(tree, &pool, [&](int i) { total += i; });
 }
 
 struct Holder {

@@ -8,14 +8,16 @@ struct ThreadPool {
   void Submit(F f);
 };
 
-template <typename F>
-void RunForAll(int count, ThreadPool* pool, F f);
+struct TreeShape {};
 
-void NamedCaptures(ThreadPool& pool, int n) {
+template <typename F>
+void RunTreeBottomUp(const TreeShape& tree, ThreadPool* pool, F f);
+
+void NamedCaptures(ThreadPool& pool, const TreeShape& tree, int n) {
   int total = 0;
   pool.Submit([&total, n] { total += n; });
   pool.Submit([n] { (void)n; });
-  RunForAll(n, &pool, [&total](int i) { total += i; });
+  RunTreeBottomUp(tree, &pool, [&total](int i) { total += i; });
 }
 
 struct Holder {

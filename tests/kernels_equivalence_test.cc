@@ -135,11 +135,7 @@ TEST(KernelsEquivalence, AllOpsMatchScalarOnRaggedShapes) {
       std::vector<uint64_t> ref_and = PaddedBuffer(nwords);
       int ref_and_n = ref.AndCount(ref_and.data(), conn.data(), filt.data(),
                                    nwords);
-      std::vector<uint64_t> ref_andnot = PaddedBuffer(nwords);
-      int ref_andnot_n = ref.AndNotCount(ref_andnot.data(), conn.data(),
-                                         filt.data(), nwords);
       int ref_ic = ref.IntersectCount(conn.data(), filt.data(), nwords);
-      bool ref_empty = ref.AndNotIsEmpty(conn.data(), filt.data(), nwords);
 
       for (Backend b : kBackends) {
         const Ops& ops = GetOps(b);
@@ -189,15 +185,8 @@ TEST(KernelsEquivalence, AllOpsMatchScalarOnRaggedShapes) {
                   ops.AndCount(out.data(), conn.data(), filt.data(), nwords));
         EXPECT_EQ(ref_and, out);
 
-        out = PaddedBuffer(nwords);
-        EXPECT_EQ(ref_andnot_n, ops.AndNotCount(out.data(), conn.data(),
-                                                filt.data(), nwords));
-        EXPECT_EQ(ref_andnot, out);
-
         EXPECT_EQ(ref_ic,
                   ops.IntersectCount(conn.data(), filt.data(), nwords));
-        EXPECT_EQ(ref_empty,
-                  ops.AndNotIsEmpty(conn.data(), filt.data(), nwords));
       }
     }
   }
@@ -283,7 +272,7 @@ TEST(KernelsEquivalence, PackAndProbeKeysMatchScalar) {
 }
 
 TEST(KernelsEquivalence, AliasedFusedOpsMatch) {
-  // AndCount / AndNotCount allow dst to alias either input.
+  // AndCount allows dst to alias either input.
   Rng rng(7);
   for (int bits : {64, 127, 4096}) {
     const int nwords = WordsFor(bits);

@@ -130,6 +130,7 @@ TEST(PortfolioTest, AgreesWithBranchAndBound) {
 // race runs on 1, 4, or 8 threads, with node budgets doing the limiting
 // (the generous wall-clock backstop never fires).
 TEST(PortfolioTest, RacingDeterminismAcrossThreadCounts) {
+  int proved_races = 0;
   for (uint64_t seed = 0; seed < 8; ++seed) {
     Hypergraph h = RandomHypergraph(12, 12, 2, 4, seed * 29 + 3);
     PortfolioResult ref;
@@ -140,6 +141,16 @@ TEST(PortfolioTest, RacingDeterminismAcrossThreadCounts) {
       opts.max_nodes = 30000;
       opts.time_limit_seconds = 300.0;
       PortfolioResult pr = PortfolioGhw(h, opts);
+      // The supersede rule: a prover cancels only higher-indexed engines,
+      // so nothing at or below the winner is cancelled, and a proof
+      // leaves a cancel latency.
+      for (int i = 0; i <= pr.winner; ++i) {
+        EXPECT_FALSE(pr.engines[i].cancelled) << h.name() << " engine " << i;
+      }
+      if (pr.winner >= 0 && pr.engines[pr.winner].proved) {
+        ++proved_races;
+        EXPECT_GE(pr.cancel_latency_seconds, 0) << h.name();
+      }
       if (pass == 0) {
         ref = pr;
         continue;
@@ -154,6 +165,7 @@ TEST(PortfolioTest, RacingDeterminismAcrossThreadCounts) {
       EXPECT_EQ(pr.plan.rule, ref.plan.rule) << h.name();
     }
   }
+  EXPECT_GT(proved_races, 0);
 }
 
 // Same property on an instance the race cannot close: with a tiny node

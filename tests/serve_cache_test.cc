@@ -127,7 +127,7 @@ TEST(ServeCacheTest, SubtreeRoundTripIsByteIdentical) {
 }
 
 TEST(ServeCacheTest, DecompCacheInstanceEntries) {
-  DecompCache cache(4);
+  DecompCache cache;
   Hypergraph h = RandomHypergraph(12, 14, 2, 4, 3);
   auto norm = NormalizeInstance(h);
   auto subtree = std::make_shared<CachedSubtree>(
@@ -154,12 +154,7 @@ TEST(ServeCacheTest, DecompCacheInstanceEntries) {
   EXPECT_EQ(got.get(), subtree.get());
   EXPECT_EQ(UnpackMeta(packed).width, 3);
 
-  // Shard accounting: one entry total, spread over 4 shards.
   EXPECT_EQ(cache.NumEntries(), size_t{1});
-  EXPECT_EQ(cache.num_shards(), 4);
-  size_t total = 0;
-  for (size_t count : cache.ShardEntryCounts()) total += count;
-  EXPECT_EQ(total, size_t{1});
 }
 
 class PersistentStoreTest : public ::testing::Test {

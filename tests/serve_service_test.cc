@@ -202,29 +202,20 @@ TEST(ServeServiceTest, MalformedRequestsGetErrorResponses) {
   EXPECT_EQ(Field(service.Handle(ping, cancel), "status"), "ok");
 }
 
-TEST(ServeServiceTest, StatsReportShardOccupancy) {
+TEST(ServeServiceTest, StatsReportMemEntries) {
   CancellationToken cancel;
-  ServerOptions options;
-  options.mem_shards = 8;
-  DecompositionService service(options);
+  DecompositionService service(ServerOptions{});
   Json stats_request = Json::Object();
   stats_request.Set("op", "stats");
 
   Json before = service.Handle(stats_request, cancel);
   EXPECT_EQ(before.Find("mem_entries")->AsInt(), 0);
-  EXPECT_EQ(before.Find("mem_shards")->AsInt(), 8);
-  EXPECT_EQ(before.Find("shard_entries")->items().size(), size_t{8});
 
   service.Handle(
       DecomposeRequest(InstanceText(RandomHypergraph(14, 16, 2, 4, 41))),
       cancel);
   Json after = service.Handle(stats_request, cancel);
   EXPECT_EQ(after.Find("mem_entries")->AsInt(), 1);
-  long total = 0;
-  for (const Json& count : after.Find("shard_entries")->items()) {
-    total += count.AsInt();
-  }
-  EXPECT_EQ(total, 1);
 }
 
 TEST(ServeServiceTest, EndToEndOverSocket) {

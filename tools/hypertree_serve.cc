@@ -11,7 +11,6 @@
 //   --metrics=FILE       append one NDJSON access record per request
 //   --budget-seconds=S   default per-request solve budget (default 10)
 //   --threads=N          portfolio racing threads (default: hardware)
-//   --mem-shards=N       in-memory cache lock shards (default 16)
 //   --max-requests=N     exit after N requests (default: run until
 //                        shutdown request or SIGTERM/SIGINT)
 //
@@ -36,8 +35,7 @@ void PrintUsage(std::FILE* out) {
                "usage: hypertree_serve [--port=N] [--cache-dir=DIR] "
                "[--cache-max-bytes=B]\n"
                "                       [--metrics=FILE] [--budget-seconds=S]\n"
-               "                       [--threads=N] [--mem-shards=N] "
-               "[--max-requests=N]\n");
+               "                       [--threads=N] [--max-requests=N]\n");
 }
 
 }  // namespace
@@ -45,7 +43,7 @@ void PrintUsage(std::FILE* out) {
 int main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
   if (!flags.CheckKnown({"help", "port", "cache-dir", "cache-max-bytes",
-                         "metrics", "budget-seconds", "threads", "mem-shards",
+                         "metrics", "budget-seconds", "threads",
                          "max-requests"})) {
     PrintUsage(stderr);
     return 2;
@@ -67,8 +65,6 @@ int main(int argc, char** argv) {
   options.default_budget_seconds =
       flags.GetDouble("budget-seconds", options.default_budget_seconds);
   options.threads = static_cast<int>(flags.GetInt("threads", options.threads));
-  options.mem_shards =
-      static_cast<int>(flags.GetInt("mem-shards", options.mem_shards));
   options.max_requests = flags.GetInt("max-requests", options.max_requests);
   return serve::RunServer(options);
 }
