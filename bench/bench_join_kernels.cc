@@ -1,6 +1,6 @@
 // Microbenchmarks for the flat-storage relation kernel: hash join,
 // semijoin (copying, in-place, and in-place under a memory budget),
-// projection and indexed membership over generated relations of varying
+// projection and row-table membership over generated relations of varying
 // arity, cardinality and join selectivity.
 //
 // Selectivity is steered through the value domain: keys drawn from a
@@ -12,6 +12,7 @@
 
 #include <vector>
 
+#include "csp/key_tables.h"
 #include "csp/morsel.h"
 #include "csp/relation.h"
 #include "util/rng.h"
@@ -132,19 +133,23 @@ void BM_Project(benchmark::State& state) {
 }
 BENCHMARK(BM_Project)->Args({16384, 8})->Args({16384, 1024});
 
-// Indexed membership: the Contains hot path of bag solving and
-// backtracking (was a linear scan before the per-relation index).
+// Membership: the constraint check of bag solving and backtracking, a
+// lookup in the relation's row table (NumberRows) through the scope's
+// positions.
 void BM_Contains(benchmark::State& state) {
   int rows = static_cast<int>(state.range(0));
   int domain = static_cast<int>(state.range(1));
   Relation r = MakeRelation({0, 1, 2}, rows, domain, 8);
+  const KeyNumbering table = NumberRows(r);
+  const int pos[3] = {0, 1, 2};
   Rng rng(9);
   std::vector<int> probe(3);
   for (int j = 0; j < 3; ++j) probe[j] = rng.UniformInt(domain);
   long hits = 0;
+  long collisions = 0;
   for (auto _ : state) {
     probe[0] = (probe[0] + 1) % domain;
-    hits += r.ContainsRow(probe.data()) ? 1 : 0;
+    hits += table.Find(probe.data(), pos, &collisions) != kAbsentCode ? 1 : 0;
     benchmark::DoNotOptimize(hits);
   }
   state.SetItemsProcessed(state.iterations());

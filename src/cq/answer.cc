@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <set>
 
 #include "csp/decomposition_solving.h"
 #include "csp/morsel_engine.h"
@@ -70,21 +71,23 @@ bool ResolveAtom(const Atom& atom, const std::map<std::string, int>& var_id,
 }
 
 // Binds one atom for BruteForceAnswer: rows filtered for repeated-variable
-// equality, then deduplicated one at a time through InsertIfAbsent (set
-// semantics: repeated table rows must not repeat answers). Kept apart
-// from AnswerQuery's shared binding so the reference stays independent
-// of the path it checks.
+// equality, then deduplicated one at a time through a std::set (set
+// semantics: repeated table rows must not repeat answers; first
+// occurrence wins the row order). Kept apart from AnswerQuery's shared
+// binding, and off the engine's tables, so the reference stays
+// independent of the path it checks.
 bool BindAtom(const Atom& atom, const std::map<std::string, int>& var_id,
               const Database& db, Relation* out, std::string* error) {
   ResolvedAtom ra;
   if (!ResolveAtom(atom, var_id, db, &ra, error)) return false;
   Relation r(ra.schema);
+  std::set<std::vector<int>> seen;
   std::vector<int> tuple;
   for (const auto& row : ra.table->rows) {
     if (!ra.Matches(row)) continue;
     tuple.clear();
     for (int c : ra.keep_cols) tuple.push_back(row[c]);
-    r.InsertIfAbsent(tuple.data());
+    if (seen.insert(tuple).second) r.AddRow(tuple.data());
   }
   *out = std::move(r);
   return true;
@@ -93,7 +96,7 @@ bool BindAtom(const Atom& atom, const std::map<std::string, int>& var_id,
 // Binds every atom of `q`. Atoms that read one table under one
 // repeated-variable pattern share one binding: a filter pass over the
 // table, deduplicated on the kept columns by EngineProject (first
-// occurrence wins, as with InsertIfAbsent), whose rows each atom then
+// occurrence wins, as in BindAtom), whose rows each atom then
 // takes under its own variable ids.
 bool BindAtoms(const ConjunctiveQuery& q,
                const std::map<std::string, int>& var_id, const Database& db,

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "csp/key_tables.h"
+
 namespace hypertree {
 
 namespace {
@@ -20,6 +22,7 @@ class Backtracker {
       int last = 0;
       for (int v : csp_.GetConstraint(c).scope) last = std::max(last, v);
       watch_[last].push_back(c);
+      rows_.push_back(NumberRows(csp_.GetConstraint(c).relation));
     }
   }
 
@@ -50,12 +53,16 @@ class Backtracker {
     return found;
   }
 
+  // Looks each completed scope up in its constraint's row table, read
+  // straight from the assignment (scope entries are variable ids).
   bool Consistent(int var) const {
+    long uncharged = 0;  // membership probes feed no counter
     for (int c : watch_[var]) {
-      const Constraint& con = csp_.GetConstraint(c);
-      scratch_.clear();
-      for (int v : con.scope) scratch_.push_back(assignment_[v]);
-      if (!con.relation.ContainsRow(scratch_.data())) return false;
+      const std::vector<int>& scope = csp_.GetConstraint(c).scope;
+      if (rows_[c].Find(assignment_.data(), scope.data(), &uncharged) ==
+          kAbsentCode) {
+        return false;
+      }
     }
     return true;
   }
@@ -68,8 +75,8 @@ class Backtracker {
   long max_nodes_;
   int n_;
   std::vector<int> assignment_;
-  mutable std::vector<int> scratch_;  // reused constraint-tuple buffer
   std::vector<std::vector<int>> watch_;
+  std::vector<KeyNumbering> rows_;  // row table per constraint
   long nodes_ = 0;
   long solutions_ = 0;
   bool aborted_ = false;

@@ -1,5 +1,7 @@
 #include "csp/csp.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 
 namespace hypertree {
@@ -11,8 +13,9 @@ void Csp::AddConstraint(std::vector<int> scope, Relation relation,
   Constraint c;
   c.scope = std::move(scope);
   c.relation = std::move(relation);
-  c.name = name.empty() ? "c" + std::to_string(NumConstraints())
-                        : std::move(name);
+  c.name = name.empty()
+               ? std::string("c").append(std::to_string(NumConstraints()))
+               : std::move(name);
   constraints_.push_back(std::move(c));
 }
 
@@ -39,7 +42,12 @@ bool Csp::IsSolution(const std::vector<int>& assignment) const {
   for (const Constraint& c : constraints_) {
     tuple.clear();
     for (int v : c.scope) tuple.push_back(assignment[v]);
-    if (!c.relation.ContainsRow(tuple.data())) return false;
+    // A scan of the rows: one check per solve needs no table.
+    bool found = false;
+    for (int r = 0; r < c.relation.Size() && !found; ++r) {
+      found = std::equal(tuple.begin(), tuple.end(), c.relation.Row(r));
+    }
+    if (!found) return false;
   }
   return true;
 }

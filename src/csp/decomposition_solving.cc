@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "csp/key_tables.h"
 #include "csp/morsel_engine.h"
 #include "csp/tree_schedule.h"
 #include "hypergraph/acyclicity.h"
@@ -15,14 +16,17 @@ namespace {
 
 // Enumerates all assignments of `vars` consistent with the constraints
 // whose scope lies inside `vars` (simple backtracking over the bag).
-// Constraint membership checks hit the per-relation hash index (O(1)
-// amortized), not a tuple scan.
-Relation SolveBag(const Csp& csp, const std::vector<int>& vars) {
+// Constraint c's membership check is a lookup in rows[c], the row table
+// of its relation, read straight from the bag assignment at the bag
+// positions of its scope.
+Relation SolveBag(const Csp& csp, const std::vector<KeyNumbering>& rows,
+                  const std::vector<int>& vars) {
   // Constraints fully inside the bag, watched by the last bag variable of
-  // their scope (by bag position).
+  // their scope (by bag position); cols[c] holds that scope's positions.
   std::vector<int> pos_of_var(csp.NumVariables(), -1);
   for (size_t i = 0; i < vars.size(); ++i) pos_of_var[vars[i]] = static_cast<int>(i);
   std::vector<std::vector<int>> watch(vars.size());
+  std::vector<std::vector<int>> cols(csp.NumConstraints());
   for (int c = 0; c < csp.NumConstraints(); ++c) {
     const Constraint& con = csp.GetConstraint(c);
     int last = -1;
@@ -34,7 +38,10 @@ Relation SolveBag(const Csp& csp, const std::vector<int>& vars) {
       }
       last = std::max(last, pos_of_var[v]);
     }
-    if (inside && last >= 0) watch[last].push_back(c);
+    if (inside && last >= 0) {
+      watch[last].push_back(c);
+      for (int v : con.scope) cols[c].push_back(pos_of_var[v]);
+    }
   }
   Relation out(vars);
   const int w = static_cast<int>(vars.size());
@@ -53,7 +60,7 @@ Relation SolveBag(const Csp& csp, const std::vector<int>& vars) {
   std::vector<uint64_t> packed;     // packed solutions (packable mode)
   std::vector<uint64_t> prefix(w + 1, 0);  // packed assignment per level
   std::vector<int> assignment(w, 0);
-  std::vector<int> scratch;  // reused constraint-tuple buffer
+  long uncharged = 0;  // membership probes feed no counter
   for (int pass = packable ? 1 : 0; pass < 2; ++pass) {
     long count = 0;
     int level = 0;
@@ -83,10 +90,8 @@ Relation SolveBag(const Csp& csp, const std::vector<int>& vars) {
       }
       bool ok = true;
       for (int c : watch[level]) {
-        const Constraint& con = csp.GetConstraint(c);
-        scratch.clear();
-        for (int v : con.scope) scratch.push_back(assignment[pos_of_var[v]]);
-        if (!con.relation.ContainsRow(scratch.data())) {
+        if (rows[c].Find(assignment.data(), cols[c].data(), &uncharged) ==
+            kAbsentCode) {
           ok = false;
           break;
         }
@@ -213,12 +218,19 @@ RelationTree BuildRelationTreeFromTd(const Csp& csp,
                                      const TreeDecomposition& td,
                                      ThreadPool* pool) {
   HT_CHECK(td.NumGraphVertices() == csp.NumVariables());
+  // Each constraint's rows are numbered once, up front; the bag builds
+  // only read the tables.
+  std::vector<KeyNumbering> rows;
+  rows.reserve(csp.NumConstraints());
+  for (const Constraint& c : csp.constraints()) {
+    rows.push_back(NumberRows(c.relation));
+  }
   RelationTree tree;
   tree.relations.resize(td.NumNodes());
   // The bags are independent subproblems: solve them in parallel. Each
   // visit writes only its own slot, so results are schedule-independent.
-  ParallelFor(td.NumNodes(), pool, [&tree, &csp, &td](int p) {
-    tree.relations[p] = SolveBag(csp, td.Bag(p).ToVector());
+  ParallelFor(td.NumNodes(), pool, [&tree, &csp, &rows, &td](int p) {
+    tree.relations[p] = SolveBag(csp, rows, td.Bag(p).ToVector());
   });
   tree.shape = TreeShape(td.NumNodes(), td.TreeEdges(), /*root=*/0);
   return tree;

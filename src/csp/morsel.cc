@@ -60,6 +60,18 @@ const int* MorselData(const Relation& r, int m) {
   return r.Row(m * kMorselRows);
 }
 
+ValueRange ScanValues(const int* p, size_t n) {
+  // Local accumulators: gcc vectorizes this loop, not one that folds
+  // into the fields of the returned struct.
+  int mn = 0;
+  int mx = 0;
+  for (size_t i = 0; i < n; ++i) {
+    mn = std::min(mn, p[i]);
+    mx = std::max(mx, p[i]);
+  }
+  return {mn, mx};
+}
+
 bool ParseByteSize(const std::string& s, long long* out) {
   if (s.empty()) return false;
   size_t end = s.size();
@@ -183,6 +195,16 @@ const int* ChunkedRelation::LoadChunk(int i, std::vector<int>* scratch) const {
     file_->ReadAt(c.offset, scratch->data(), values * sizeof(int));
   }
   return scratch->data();
+}
+
+void ChunkedRelation::WriteChunk(int i, const int* data, int rows) {
+  Chunk& c = chunks_[static_cast<size_t>(i)];
+  c.rows = rows;
+  if (rows == 0) return;
+  const size_t values = static_cast<size_t>(rows) * schema_.size();
+  c.values = ScanValues(data, values);
+  c.offset = file_->Allocate(static_cast<long long>(values * sizeof(int)));
+  file_->WriteAt(c.offset, data, values * sizeof(int));
 }
 
 void ChunkedRelation::FinishChunks() {

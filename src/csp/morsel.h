@@ -57,6 +57,17 @@ Morsel MorselAt(int m, long rows);
 /// when `r` has no rows or no columns).
 const int* MorselData(const Relation& r, int m);
 
+/// Range of a block of values, folded from a {0, 0} start: an empty
+/// block yields {0, 0}, so ranges of blocks fold into the range of their
+/// union.
+struct ValueRange {
+  int mn = 0;
+  int mx = 0;
+};
+
+/// The ValueRange of p[0, n). A contiguous scan that vectorizes.
+ValueRange ScanValues(const int* p, size_t n);
+
 /// Calls visit(m, lo, hi) once per morsel of a `rows`-row relation
 /// through ParallelFor on `pool` (nullptr: in ascending order on the
 /// calling thread). Safe to call from inside a pool task. A template, so
@@ -130,8 +141,10 @@ class SpillFile {
 /// A relation as a sequence of row chunks: either fully resident (a
 /// plain Relation, viewed as kMorselRows-sized chunks) or fully spilled
 /// (per-chunk byte ranges in a shared SpillFile, read back in chunk
-/// order). Whole-relation residency is decided once, from exact
-/// pre-pass sizes — see the determinism contract above.
+/// order, with each chunk's value range recorded as it is written, so a
+/// key-encoding plan needs no read-back). Whole-relation residency is
+/// decided once, from exact pre-pass sizes — see the determinism
+/// contract above.
 class ChunkedRelation {
  public:
   ChunkedRelation() = default;
@@ -140,7 +153,7 @@ class ChunkedRelation {
   explicit ChunkedRelation(Relation rel) : rel_(std::move(rel)) {}
 
   /// Spilled form over `file` (opened by the caller); chunks are
-  /// registered with SetChunk after ResizeChunks.
+  /// written with WriteChunk after ResizeChunks.
   ChunkedRelation(std::vector<int> schema, std::shared_ptr<SpillFile> file)
       : spilled_(true), schema_(std::move(schema)), file_(std::move(file)) {}
 
@@ -159,13 +172,19 @@ class ChunkedRelation {
   const int* LoadChunk(int i, std::vector<int>* scratch) const;
 
   /// Spilled form: pre-sizes the chunk table so parallel emitters can
-  /// SetChunk disjoint slots.
+  /// write disjoint chunks.
   void ResizeChunks(int n) { chunks_.resize(static_cast<size_t>(n)); }
-  void SetChunk(int i, long long offset, int rows) {
-    chunks_[static_cast<size_t>(i)] = {offset, rows};
-  }
-  /// Recomputes the cached row total after SetChunk writes (spilled).
+  /// Spilled form: writes `rows` rows at `data` to a fresh range of the
+  /// spill file as chunk i and records their value range. Thread-safe
+  /// for distinct i.
+  void WriteChunk(int i, const int* data, int rows);
+  /// Recomputes the cached row total after WriteChunk calls (spilled).
   void FinishChunks();
+  /// Value range of chunk i as WriteChunk recorded it (spilled form).
+  ValueRange ChunkValues(int i) const {
+    HT_DCHECK(spilled_);
+    return chunks_[static_cast<size_t>(i)].values;
+  }
 
   /// The resident relation (resident form only).
   const Relation& rel() const {
@@ -189,6 +208,7 @@ class ChunkedRelation {
   struct Chunk {
     long long offset = 0;
     int rows = 0;
+    ValueRange values;
   };
   std::vector<Chunk> chunks_;
   long total_rows_ = 0;  // spilled form (resident derives from rel_)

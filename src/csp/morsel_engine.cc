@@ -6,6 +6,7 @@
 #include <memory>
 #include <utility>
 
+#include "csp/key_tables.h"
 #include "csp/relation_internal.h"
 #include "csp/tree_schedule.h"
 #include "kernels/kernels.h"
@@ -50,12 +51,6 @@ constexpr uint64_t kSemiDenseSpanMax = (uint64_t{1} << 22) - 1;
 // 2^22 bits = 512 KiB and needs no key-range pre-pass.
 constexpr int kProjectDenseKeyBits = 22;
 constexpr int kMaxSpillPartitions = 256;
-
-size_t NextPow2AtLeast(size_t n) {
-  size_t cap = 16;
-  while (cap < n) cap <<= 1;
-  return cap;
-}
 
 // Positions of the shared variables in each schema.
 void SharedPositions(const std::vector<int>& a, const std::vector<int>& b,
@@ -113,33 +108,17 @@ struct ChunkSource {
   }
 };
 
-// Full-buffer value range (empty buffer: {0, 0}, a neutral start). The
-// contiguous scan vectorizes and at most over-estimates the needed bits.
-struct ValueRange {
-  int mn = 0;
-  int mx = 0;
-};
-
-ValueRange ScanValues(const int* p, size_t n) {
-  ValueRange v;
-  for (size_t i = 0; i < n; ++i) {
-    v.mn = std::min(v.mn, p[i]);
-    v.mx = std::max(v.mx, p[i]);
-  }
-  return v;
-}
-
+// Value range of the whole source, from a {0, 0} start: at most an
+// over-estimate of the bits a packed value needs. A spilled source folds
+// the ranges its chunks recorded when they were written, so planning
+// reads none of them back.
 ValueRange ScanSource(const ChunkSource& a) {
   if (a.rel != nullptr) {
     return ScanValues(a.rel->data().data(), a.rel->data().size());
   }
   ValueRange v;
-  std::vector<int> scratch;
-  const int arity = a.arity();
   for (int i = 0; i < a.nchunks(); ++i) {
-    const int rows = a.chunk_rows(i);
-    const ValueRange c = ScanValues(a.load(i, &scratch),
-                                    static_cast<size_t>(rows) * arity);
+    const ValueRange c = a.ck->ChunkValues(i);
     v.mn = std::min(v.mn, c.mn);
     v.mx = std::max(v.mx, c.mx);
   }
@@ -170,76 +149,6 @@ int PlanBits(size_t k, ValueRange a, ValueRange b) {
 // Everything downstream — dense and hash tables, zone maps, grace
 // partitions, spills — runs on the codes alone.
 // ---------------------------------------------------------------------------
-
-// A numbered probe's code for a key tuple the build side lacks: above
-// every number, so zone maps and range checks skip the row.
-constexpr uint64_t kAbsentCode = ~uint64_t{0};
-
-// Numbers distinct key tuples 0, 1, 2, ... in first-occurrence order.
-// Open addressing over HashRowKey row hashes; slots hold numbers, and
-// the numbered tuples sit contiguously (k values each), so a numbered
-// projection's output is the table's tuple store. Sized once for its
-// worst case at the 0.5 load factor; it never grows. Find is const, so
-// morsels may probe one table concurrently.
-class KeyNumbering {
- public:
-  KeyNumbering() = default;
-  // Room for up to `rows` distinct tuples of k >= 1 columns.
-  KeyNumbering(int k, long rows) : k_(k) {
-    slots_.assign(NextPow2AtLeast(static_cast<size_t>(rows) * 2), -1);
-    mask_ = slots_.size() - 1;
-    tuples_.reserve(static_cast<size_t>(rows) * k);
-  }
-
-  // Number of the tuple row[pos[0, k)], numbering it when it is new.
-  uint64_t Insert(const int* row, const int* pos, long* collisions) {
-    const size_t slot = Slot(row, pos, collisions);
-    if (slots_[slot] == -1) {
-      // Load-factor contract: probes stay O(1), and terminate, only while
-      // at most half the slots are taken.
-      HT_CHECK_LE((static_cast<size_t>(size_) + 1) * 2, slots_.size())
-          << "key numbering exceeds its 0.5 load factor";
-      slots_[slot] = size_++;
-      for (int i = 0; i < k_; ++i) tuples_.push_back(row[pos[i]]);
-    }
-    return static_cast<uint64_t>(slots_[slot]);
-  }
-
-  // Number of the tuple row[pos[0, k)], or kAbsentCode.
-  uint64_t Find(const int* row, const int* pos, long* collisions) const {
-    const int32_t n = slots_[Slot(row, pos, collisions)];
-    return n == -1 ? kAbsentCode : static_cast<uint64_t>(n);
-  }
-
-  int size() const { return size_; }
-  size_t bytes() const {
-    return slots_.capacity() * sizeof(int32_t) +
-           tuples_.capacity() * sizeof(int);
-  }
-  // The numbered tuples, k values each, in number order.
-  std::vector<int> TakeTuples() { return std::move(tuples_); }
-
- private:
-  // The slot holding the tuple, or the empty slot it would take.
-  size_t Slot(const int* row, const int* pos, long* collisions) const {
-    size_t slot = HashRowKey(row, pos, k_) & mask_;
-    while (slots_[slot] != -1) {
-      const int* t = tuples_.data() + static_cast<size_t>(slots_[slot]) * k_;
-      int i = 0;
-      while (i < k_ && t[i] == row[pos[i]]) ++i;
-      if (i == k_) break;
-      ++*collisions;
-      slot = (slot + 1) & mask_;
-    }
-    return slot;
-  }
-
-  int k_ = 0;
-  size_t mask_ = 0;
-  int32_t size_ = 0;
-  std::vector<int32_t> slots_;  // number per slot, -1 empty
-  std::vector<int> tuples_;
-};
 
 // One operator's key encoding, and the codes of its build side.
 struct KeyCodes {
@@ -350,20 +259,18 @@ struct ChunkBufs {
 
 // ---------------------------------------------------------------------------
 // Key groups: one group per distinct build code, found dense (direct
-// indexing over the code span) or hash (open addressing over distinct
-// codes, ProbeKeys kernel). A join hangs ascending per-group row chains
-// off them; weighted counting, per-group weight sums.
+// indexing over the code span) or hash (a CodeTable over the distinct
+// codes). A join hangs ascending per-group row chains off them; weighted
+// counting, per-group weight sums.
 // ---------------------------------------------------------------------------
 
 // A code's group is code - bmin (dense: every code in the span has one)
-// or its insertion ordinal (hash).
+// or its CodeTable ordinal (hash).
 struct KeyGroups {
   uint64_t bmin = ~uint64_t{0};
   uint64_t bmax = 0;
   bool dense = false;
-  std::vector<uint64_t> slot_keys;  // hash: code per slot
-  std::vector<int32_t> slot_vals;   // hash: group per slot, -1 empty
-  uint64_t mask = 0;
+  CodeTable table;  // hash
 };
 
 // Number of dense groups of kc's build codes, bmax - bmin + 1, or 0 when
@@ -392,22 +299,10 @@ KeyGroups GroupBuildCodes(const KeyCodes& kc, const Add& add) {
     }
     return g;
   }
-  const size_t cap = NextPow2AtLeast(static_cast<size_t>(rows) * 2);
-  g.mask = cap - 1;
-  g.slot_keys.assign(cap, 0);
-  g.slot_vals.assign(cap, -1);
-  int32_t groups = 0;
+  g.table = CodeTable(static_cast<size_t>(rows));
+  long uncharged = 0;  // building charges no probe collisions
   for (int r = rows - 1; r >= 0; --r) {
-    const uint64_t key = keys[r];
-    size_t slot = kernels::SplitMix64(key) & g.mask;
-    while (g.slot_vals[slot] != -1 && g.slot_keys[slot] != key) {
-      slot = (slot + 1) & g.mask;
-    }
-    if (g.slot_vals[slot] == -1) {
-      g.slot_vals[slot] = groups++;
-      g.slot_keys[slot] = key;
-    }
-    add(r, g.slot_vals[slot]);
+    add(r, g.table.Insert(keys[r], &uncharged));
   }
   return g;
 }
@@ -416,10 +311,7 @@ KeyGroups GroupBuildCodes(const KeyCodes& kc, const Add& add) {
 // build row has. Returns the hash probe's collisions.
 long ProbeGroups(const KeyGroups& g, const uint64_t* codes, int n,
                  int32_t* groups) {
-  if (!g.dense) {
-    return kernels::Active().ProbeKeys(groups, codes, n, g.slot_keys.data(),
-                                       g.slot_vals.data(), g.mask);
-  }
+  if (!g.dense) return g.table.Probe(codes, n, groups);
   for (int r = 0; r < n; ++r) {
     const uint64_t key = codes[r];
     groups[r] = key < g.bmin || key > g.bmax
@@ -456,10 +348,9 @@ JoinTable BuildJoinTable(const KeyCodes& kc) {
     ++t.cnt[g];
   });
   BytesAllocated().Add(static_cast<long>(
-      (t.next.capacity() + t.head.capacity() + t.cnt.capacity() +
-       t.groups.slot_vals.capacity()) *
+      (t.next.capacity() + t.head.capacity() + t.cnt.capacity()) *
           sizeof(int32_t) +
-      t.groups.slot_keys.capacity() * sizeof(uint64_t)));
+      t.groups.table.bytes()));
   return t;
 }
 
@@ -564,15 +455,11 @@ ChunkedRelation JoinImpl(const ChunkSource& a, const Relation& b,
     // depend on residency or schedule).
     auto file = std::make_shared<SpillFile>();
     file->Open();
-    SpillFile* fp = file.get();
     ChunkedRelation out(out_schema, std::move(file));
     out.ResizeChunks(nchunks);
     ChunkedRelation* outp = &out;
     ParallelFor(nchunks, pool, [&](int i) {
-      if (counts[i] == 0) {
-        outp->SetChunk(i, 0, 0);
-        return;
-      }
+      if (counts[i] == 0) return;
       HT_CHECK_LE(counts[i], static_cast<long>(INT32_MAX))
           << "spilled join chunk exceeds the per-chunk row-count limit";
       ChunkBufs bufs;
@@ -587,14 +474,9 @@ ChunkedRelation JoinImpl(const ChunkSource& a, const Relation& b,
       HT_CHECK_EQ(emitted, counts[i])
           << "join emitted a different row count than its exact-size "
              "pre-pass";
-      // Reserve a disjoint file range and write this chunk's rows.
-      // (Allocation order is schedule-dependent; chunk contents and the
-      // chunk-index mapping are not.)
-      const long long bytes =
-          static_cast<long long>(buf.size()) * sizeof(int);
-      const long long off = fp->Allocate(bytes);
-      fp->WriteAt(off, buf.data(), static_cast<size_t>(bytes));
-      outp->SetChunk(i, off, static_cast<int>(counts[i]));
+      // (File-range allocation order is schedule-dependent; chunk
+      // contents and the chunk-index mapping are not.)
+      outp->WriteChunk(i, buf.data(), static_cast<int>(counts[i]));
     });
     out.FinishChunks();
     SpillPartitions().Add(nchunks);
@@ -637,33 +519,20 @@ ChunkedRelation JoinImpl(const ChunkSource& a, const Relation& b,
 // ---------------------------------------------------------------------------
 
 // Build side of a semijoin over the build codes' range [bmin, bmax]:
-// either a bitmap over that range (dense) or an open-addressed set of
-// the distinct codes (hash).
+// either a bitmap over that range (dense) or a CodeTable of the distinct
+// codes (hash).
 struct SemiTable {
   bool dense = false;
-  std::vector<uint64_t> bitmap;     // dense: bit (code - bmin)
-  std::vector<uint64_t> slot_keys;  // hash
-  std::vector<int32_t> slot_vals;   // hash: 1 occupied, -1 empty
-  uint64_t mask = 0;
+  std::vector<uint64_t> bitmap;  // dense: bit (code - bmin)
+  CodeTable set;                 // hash
 };
 
-// Fills t's hash set with the distinct codes among keys[0, n).
-void BuildKeySet(const uint64_t* keys, size_t n, SemiTable* t) {
-  const size_t cap = NextPow2AtLeast(n * 2);
-  t->mask = cap - 1;
-  t->slot_keys.assign(cap, 0);
-  t->slot_vals.assign(cap, -1);
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t key = keys[i];
-    size_t slot = kernels::SplitMix64(key) & t->mask;
-    while (t->slot_vals[slot] != -1 && t->slot_keys[slot] != key) {
-      slot = (slot + 1) & t->mask;
-    }
-    if (t->slot_vals[slot] == -1) {
-      t->slot_vals[slot] = 1;
-      t->slot_keys[slot] = key;
-    }
-  }
+// A CodeTable of the distinct codes among keys[0, n), inserted in order.
+CodeTable KeySet(const uint64_t* keys, size_t n) {
+  CodeTable set(n);
+  long uncharged = 0;  // building charges no probe collisions
+  for (size_t i = 0; i < n; ++i) set.Insert(keys[i], &uncharged);
+  return set;
 }
 
 // The semijoin probe loop, one morsel of `left` per work item: code the
@@ -673,7 +542,6 @@ void BuildKeySet(const uint64_t* keys, size_t n, SemiTable* t) {
 long ProbeSemijoin(const Relation& left, const std::vector<int>& pa,
                    const KeyCodes& kc, const SemiTable& t, ThreadPool* pool,
                    uint8_t* keep) {
-  const kernels::Ops& ops = kernels::Active();
   const size_t arity = static_cast<size_t>(left.Arity());
   std::atomic<long> collisions{0};
   ForEachMorsel(left.Size(), pool, [&](int m, int lo, int hi) {
@@ -691,8 +559,7 @@ long ProbeSemijoin(const Relation& left, const std::vector<int>& pa,
         }
       } else {
         bufs.vals.resize(static_cast<size_t>(n));
-        c += ops.ProbeKeys(bufs.vals.data(), bufs.keys.data(), n,
-                           t.slot_keys.data(), t.slot_vals.data(), t.mask);
+        c += t.set.Probe(bufs.keys.data(), n, bufs.vals.data());
         for (int r = 0; r < n; ++r) {
           if (bufs.vals[r] >= 0) keep[lo + r] = 1;
         }
@@ -748,8 +615,8 @@ long PartitionedSemijoin(const Relation& left, const std::vector<int>& pa,
                          const KeyCodes& kc, long long budget,
                          ThreadPool* pool, uint8_t* keep) {
   const std::vector<uint64_t>& rkeys = kc.build;
-  const size_t full_cap = NextPow2AtLeast(rkeys.size() * 2);
-  const long long table_bytes = static_cast<long long>(full_cap) * 12;
+  const long long table_bytes =
+      static_cast<long long>(CodeTable::BytesFor(rkeys.size()));
   int parts = 2;
   while (parts < kMaxSpillPartitions &&
          table_bytes / parts > std::max<long long>(budget / 2, 1)) {
@@ -814,7 +681,6 @@ long PartitionedSemijoin(const Relation& left, const std::vector<int>& pa,
       rkeys.size() * sizeof(uint64_t) +
       static_cast<size_t>(staged) * (sizeof(uint64_t) + sizeof(int32_t))));
 
-  const kernels::Ops& ops = kernels::Active();
   std::atomic<long> probe_collisions{0};
   ParallelFor(parts, pool, [&](int i) {
     const GracePartition& p = part[static_cast<size_t>(i)];
@@ -822,14 +688,11 @@ long PartitionedSemijoin(const Relation& left, const std::vector<int>& pa,
     std::vector<uint64_t> pkeys;
     std::vector<int32_t> prows;
     ReadRuns(file, p.build, &pkeys, nullptr);
-    SemiTable t;
-    BuildKeySet(pkeys.data(), pkeys.size(), &t);
+    const CodeTable set = KeySet(pkeys.data(), pkeys.size());
     ReadRuns(file, p.probe, &pkeys, &prows);
     std::vector<int32_t> vals(pkeys.size());
-    const long c = ops.ProbeKeys(vals.data(), pkeys.data(),
-                                 static_cast<int>(pkeys.size()),
-                                 t.slot_keys.data(), t.slot_vals.data(),
-                                 t.mask);
+    const long c = set.Probe(pkeys.data(), static_cast<int>(pkeys.size()),
+                             vals.data());
     probe_collisions.fetch_add(c, std::memory_order_relaxed);
     for (size_t j = 0; j < vals.size(); ++j) {
       if (vals[j] >= 0) keep[prows[j]] = 1;
@@ -842,7 +705,6 @@ long PartitionedSemijoin(const Relation& left, const std::vector<int>& pa,
 void SemijoinImpl(Relation* left, const Relation& right,
                   const std::vector<int>& pa, const std::vector<int>& pb,
                   ThreadPool* pool) {
-  RelationInternal::DropIndex(*left);
   const int rows_l = left->Size();
   const int arity = left->Arity();
   const KeyCodes kc =
@@ -867,16 +729,14 @@ void SemijoinImpl(Relation* left, const Relation& right,
         static_cast<long>(build.bitmap.capacity() * sizeof(uint64_t)));
     collisions = ProbeSemijoin(*left, pa, kc, build, pool, keep.data());
   } else {
-    const size_t cap = NextPow2AtLeast(kc.build.size() * 2);
-    const long long hash_bytes = static_cast<long long>(cap) * 12;
+    const long long hash_bytes =
+        static_cast<long long>(CodeTable::BytesFor(kc.build.size()));
     if (budget > 0 && hash_bytes > budget) {
       collisions =
           PartitionedSemijoin(*left, pa, kc, budget, pool, keep.data());
     } else {
-      BuildKeySet(kc.build.data(), kc.build.size(), &build);
-      BytesAllocated().Add(static_cast<long>(
-          build.slot_keys.capacity() * sizeof(uint64_t) +
-          build.slot_vals.capacity() * sizeof(int32_t)));
+      build.set = KeySet(kc.build.data(), kc.build.size());
+      BytesAllocated().Add(static_cast<long>(build.set.bytes()));
       collisions = ProbeSemijoin(*left, pa, kc, build, pool, keep.data());
     }
   }
@@ -961,24 +821,19 @@ Relation ProjectImpl(const ChunkSource& a, const std::vector<int>& vars,
       bits >= 64 ? ~uint64_t{0} : (uint64_t{1} << bits) - 1;
 
   // Dedup state: seen-bitmap over the whole packed-key universe (dense)
-  // or an open-addressed key set (hash). Output values are decoded from
-  // the packed key by shifts — no gathered compares, no second read of
-  // the input row.
+  // or a CodeTable of the codes seen (hash). Output values are decoded
+  // from the packed key by shifts — no gathered compares, no second read
+  // of the input row.
   std::vector<uint64_t> bitmap;
-  std::vector<uint64_t> slot_keys;
-  std::vector<int32_t> slot_vals;
-  uint64_t mask = 0;
+  CodeTable seen;
   long reserve_rows = rows;
   if (dense) {
     const size_t universe = size_t{1} << (k * bits);
     bitmap.assign((universe + 63) / 64, 0);
     reserve_rows = std::min<long>(rows, static_cast<long>(universe));
   } else {
-    const size_t cap = NextPow2AtLeast(static_cast<size_t>(
-        std::min<long>(rows, static_cast<long>(INT32_MAX) / 2)) * 2);
-    mask = cap - 1;
-    slot_keys.assign(cap, 0);
-    slot_vals.assign(cap, -1);
+    seen = CodeTable(static_cast<size_t>(
+        std::min<long>(rows, static_cast<long>(INT32_MAX) / 2)));
   }
   out_data.reserve(static_cast<size_t>(reserve_rows) * k);
 
@@ -1035,16 +890,8 @@ Relation ProjectImpl(const ChunkSource& a, const std::vector<int>& vars,
         fresh = (word & bit) == 0;
         word |= bit;
       } else {
-        size_t slot = kernels::SplitMix64(key) & mask;
-        while (slot_vals[slot] != -1 && slot_keys[slot] != key) {
-          ++collisions;
-          slot = (slot + 1) & mask;
-        }
-        fresh = slot_vals[slot] == -1;
-        if (fresh) {
-          slot_vals[slot] = 1;
-          slot_keys[slot] = key;
-        }
+        // A new code takes the next ordinal: the output row count so far.
+        fresh = seen.Insert(key, &collisions) == out_rows;
       }
       if (!fresh) continue;
       for (int c = 0; c < k; ++c) {
@@ -1061,8 +908,8 @@ Relation ProjectImpl(const ChunkSource& a, const std::vector<int>& vars,
   }
   if (collisions > 0) ProbeCollisions().Add(collisions);
   BytesAllocated().Add(static_cast<long>(
-      (out_data.capacity() + slot_vals.capacity()) * sizeof(int) +
-      (bitmap.capacity() + slot_keys.capacity()) * sizeof(uint64_t)));
+      out_data.capacity() * sizeof(int) +
+      bitmap.capacity() * sizeof(uint64_t) + seen.bytes()));
   HT_CHECK_LE(static_cast<long>(out_rows), rows)
       << "projection emitted more distinct rows than its input has";
   RelationInternal::CheckRep(out);
@@ -1088,7 +935,6 @@ void EngineSemijoinInPlace(Relation* left, const Relation& right,
     RowsSemijoinDropped().Add(left->Size());
     RelationInternal::Data(*left).clear();
     RelationInternal::Rows(*left) = 0;
-    RelationInternal::DropIndex(*left);
     return;
   }
   std::vector<int> pa;

@@ -1,17 +1,17 @@
 // Named relations with the operators the decomposition-based solvers need:
-// natural join, semijoin, projection and membership — implemented as a
-// flat-storage kernel. Tuples live in one contiguous row-major buffer
-// (arity-stride access, no per-tuple heap allocation). Join, semijoin and
-// projection delegate to the morsel engine (csp/morsel_engine.h), which
-// turns key columns into one 64-bit code per row; semijoin is an in-place
-// swap-compaction; and a lazily built per-relation hash index over whole
-// rows makes Contains O(1) amortized.
+// natural join, semijoin and projection — implemented as a flat-storage
+// kernel. Tuples live in one contiguous row-major buffer (arity-stride
+// access, no per-tuple heap allocation). Join, semijoin and projection
+// delegate to the morsel engine (csp/morsel_engine.h), which turns key
+// columns into one 64-bit code per row; semijoin is an in-place
+// swap-compaction. A Relation is a plain value: it keeps no index, so
+// membership checks go through a KeyNumbering of its rows
+// (csp/key_tables.h).
 //
 // Thread-safety contract: concurrent const access (Join / Semijoin /
-// Project / Contains / row reads) is safe, including the lazy index build
-// (published with a compare-and-swap; losing builders discard their
-// copy). Mutation (AddTuple / AddRow / InsertIfAbsent / SemijoinInPlace)
-// requires exclusive access, like any standard container.
+// Project / row reads) is safe. Mutation (AddTuple / AddRow /
+// SemijoinInPlace) requires exclusive access, like any standard
+// container.
 //
 // The kernel feeds the process-wide metrics registry (see
 // docs/BENCHMARKS.md): relation.rows_joined, relation.rows_semijoin_dropped,
@@ -20,8 +20,8 @@
 #ifndef HYPERTREE_CSP_RELATION_H_
 #define HYPERTREE_CSP_RELATION_H_
 
-#include <atomic>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "kernels/kernels.h"
@@ -30,31 +30,10 @@
 namespace hypertree {
 
 /// splitmix64 finalizer: a cheap, statistically strong 64-bit mixer
-/// (Steele et al.). Used per key element so small dense CSP domains do
-/// not collide the way additive FNV-style mixing does. The canonical
-/// definition lives in kernels/kernels.h so the SIMD probe kernels and
-/// the spill partitioner mix bit-identically.
+/// (Steele et al.). The canonical definition lives in kernels/kernels.h
+/// so the SIMD probe kernels and the spill partitioner mix
+/// bit-identically.
 inline uint64_t SplitMix64(uint64_t x) { return kernels::SplitMix64(x); }
-
-/// Hash of `row[pos[0..k)]` without materializing the key: each element is
-/// folded into the running state through a full splitmix64 round (the
-/// engine's key numbering hashes its tuples with it).
-inline uint64_t HashRowKey(const int* row, const int* pos, int k) {
-  uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (int i = 0; i < k; ++i) {
-    h = SplitMix64(h + static_cast<uint64_t>(static_cast<uint32_t>(row[pos[i]])));
-  }
-  return h;
-}
-
-/// Hash of `k` contiguous values (identity positions).
-inline uint64_t HashRowValues(const int* row, int k) {
-  uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (int i = 0; i < k; ++i) {
-    h = SplitMix64(h + static_cast<uint64_t>(static_cast<uint32_t>(row[i])));
-  }
-  return h;
-}
 
 /// A relation over CSP variables: a schema (variable ids) plus tuples of
 /// values aligned with the schema, stored row-major in one flat buffer.
@@ -68,12 +47,21 @@ class Relation {
   explicit Relation(std::vector<int> schema) : schema_(std::move(schema)) {
     DCheckSchemaUnique();
   }
-  ~Relation();
 
-  Relation(const Relation& other);
-  Relation& operator=(const Relation& other);
-  Relation(Relation&& other) noexcept;
-  Relation& operator=(Relation&& other) noexcept;
+  Relation(const Relation& other) = default;
+  Relation& operator=(const Relation& other) = default;
+  // Moves leave the source empty (no schema, no rows).
+  Relation(Relation&& other) noexcept
+      : schema_(std::move(other.schema_)),
+        data_(std::move(other.data_)),
+        rows_(std::exchange(other.rows_, 0)) {}
+  Relation& operator=(Relation&& other) noexcept {
+    if (this == &other) return *this;
+    schema_ = std::move(other.schema_);
+    data_ = std::move(other.data_);
+    rows_ = std::exchange(other.rows_, 0);
+    return *this;
+  }
 
   const std::vector<int>& schema() const { return schema_; }
   int Arity() const { return static_cast<int>(schema_.size()); }
@@ -97,19 +85,12 @@ class Relation {
   /// Appends a tuple (must match the schema arity).
   void AddTuple(const std::vector<int>& tuple);
 
-  /// Appends a row of Arity() values. Inline fast path: bulk loaders
-  /// (bag enumeration) append tens of millions of rows; the out-of-line
-  /// part only runs while a row index is published.
+  /// Appends a row of Arity() values. Inline: bulk loaders (bag
+  /// enumeration) append tens of millions of rows.
   void AddRow(const int* row) {
     data_.insert(data_.end(), row, row + schema_.size());
     ++rows_;
-    if (index_.load(std::memory_order_relaxed) != nullptr) AddRowToIndex();
   }
-
-  /// Appends the row unless an equal row is already present; returns true
-  /// when the row was added. O(1) amortized (keeps the row index fresh),
-  /// so tuple deduplication loops are linear, not quadratic.
-  bool InsertIfAbsent(const int* row);
 
   /// Reserves space for `num_rows` rows.
   void Reserve(int num_rows);
@@ -134,38 +115,11 @@ class Relation {
   /// are removed, first occurrence wins the output order).
   Relation Project(const std::vector<int>& vars) const;
 
-  /// True if the tuple (over this schema) is present. O(1) amortized via
-  /// a lazily built hash index over the rows.
-  bool Contains(const std::vector<int>& tuple) const;
-
-  /// Contains() for a raw row of Arity() values.
-  bool ContainsRow(const int* row) const;
-
  private:
-  struct RowIndex;
   // Raw-buffer seam for the morsel engine (relation_internal.h): the
   // engine writes join/project output straight into data_ and compacts
   // semijoin survivors in place.
   friend struct RelationInternal;
-
-  // Below this row count, ContainsRow scans the flat buffer instead of
-  // building an index (a contiguous scan beats hashing for the tiny
-  // constraint tables bag enumeration probes millions of times).
-  static constexpr int kScanThreshold = 16;
-
-  // Returns the up-to-date index, building and publishing it if missing.
-  const RowIndex* EnsureIndex() const;
-  // Deletes any published index (mutation paths that invalidate it).
-  void DropIndex();
-  // Probes `idx` for `row`; returns true if an equal row exists.
-  bool ProbeIndex(const RowIndex& idx, const int* row) const;
-  // Inserts row id `r` into `idx` (caller guarantees capacity and
-  // exclusive access). Returns false if an equal row already exists.
-  bool InsertIntoIndex(RowIndex* idx, int r, bool check_duplicate) const;
-  // Grows `idx` to hold at least one more row at load factor <= 0.7.
-  void MaybeGrowIndex(RowIndex* idx) const;
-  // Out-of-line tail of AddRow: appends the last row to the published index.
-  void AddRowToIndex();
 
   // Flat-buffer representation invariant: the value buffer holds exactly
   // rows_ * Arity() values. Compiled out under NDEBUG; mutation paths
@@ -189,8 +143,6 @@ class Relation {
   std::vector<int> schema_;
   std::vector<int> data_;  // row-major, rows_ * Arity() values
   int rows_ = 0;           // explicit: arity-0 relations still have rows
-  // Lazily built row index; see the thread-safety contract above.
-  mutable std::atomic<RowIndex*> index_{nullptr};
 };
 
 }  // namespace hypertree

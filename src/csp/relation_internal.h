@@ -16,7 +16,6 @@ struct RelationInternal {
   static std::vector<int>& Data(Relation& r) { return r.data_; }
   static const std::vector<int>& Data(const Relation& r) { return r.data_; }
   static int& Rows(Relation& r) { return r.rows_; }
-  static void DropIndex(Relation& r) { r.DropIndex(); }
   static void CheckRep(const Relation& r) { r.DCheckRep(); }
 };
 

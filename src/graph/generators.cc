@@ -69,7 +69,7 @@ Graph CompleteGraph(int n) {
   Graph g(n);
   for (int u = 0; u < n; ++u)
     for (int v = u + 1; v < n; ++v) g.AddEdge(u, v);
-  g.set_name("K" + std::to_string(n));
+  g.set_name(std::string("K").append(std::to_string(n)));
   return g;
 }
 
@@ -77,7 +77,7 @@ Graph CycleGraph(int n) {
   HT_CHECK(n >= 3);
   Graph g(n);
   for (int v = 0; v < n; ++v) g.AddEdge(v, (v + 1) % n);
-  g.set_name("C" + std::to_string(n));
+  g.set_name(std::string("C").append(std::to_string(n)));
   return g;
 }
 
@@ -85,7 +85,7 @@ Graph PathGraph(int n) {
   HT_CHECK(n >= 1);
   Graph g(n);
   for (int v = 0; v + 1 < n; ++v) g.AddEdge(v, v + 1);
-  g.set_name("P" + std::to_string(n));
+  g.set_name(std::string("P").append(std::to_string(n)));
   return g;
 }
 

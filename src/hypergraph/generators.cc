@@ -38,7 +38,7 @@ Hypergraph AdderHypergraph(int bits) {
     h.SetVertexName(t3(i), "t3_" + is);
   }
   for (int i = 0; i <= bits; ++i) {
-    h.SetVertexName(c(i), "c" + std::to_string(i));
+    h.SetVertexName(c(i), std::string("c").append(std::to_string(i)));
   }
   for (int i = 0; i < bits; ++i) {
     std::string is = std::to_string(i);
@@ -226,7 +226,7 @@ Hypergraph CircuitHypergraph(int inputs, int gates, uint64_t seed) {
   for (int i = 0; i < inputs; ++i) h.SetVertexName(i, "in" + std::to_string(i));
   for (int g = 0; g < gates; ++g) {
     int out = inputs + g;
-    h.SetVertexName(out, "g" + std::to_string(g));
+    h.SetVertexName(out, std::string("g").append(std::to_string(g)));
     int fanin = rng.UniformRange(1, 3);
     std::vector<int> vs = {out};
     Bitset used(n);

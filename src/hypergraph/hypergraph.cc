@@ -8,7 +8,9 @@
 namespace hypertree {
 
 Hypergraph::Hypergraph(int n) : n_(n), incident_(n), vertex_names_(n) {
-  for (int v = 0; v < n; ++v) vertex_names_[v] = "x" + std::to_string(v);
+  for (int v = 0; v < n; ++v) {
+    vertex_names_[v] = std::string("x").append(std::to_string(v));
+  }
 }
 
 int Hypergraph::AddEdge(const std::vector<int>& vertices, std::string name) {
@@ -28,8 +30,9 @@ int Hypergraph::AddEdgeBits(const Bitset& vertices, std::string name) {
   for (int v = vertices.First(); v >= 0; v = vertices.Next(v)) {
     incident_[v].push_back(id);
   }
-  edge_names_.push_back(name.empty() ? "e" + std::to_string(id)
-                                     : std::move(name));
+  edge_names_.push_back(name.empty()
+                            ? std::string("e").append(std::to_string(id))
+                            : std::move(name));
   return id;
 }
 

@@ -11,7 +11,8 @@ std::string BagLabel(const Hypergraph* h, const Bitset& bag) {
   std::string label;
   for (int v = bag.First(); v >= 0; v = bag.Next(v)) {
     if (!label.empty()) label += ", ";
-    label += h != nullptr ? h->VertexName(v) : "v" + std::to_string(v);
+    label += h != nullptr ? h->VertexName(v)
+                          : std::string("v").append(std::to_string(v));
   }
   return "{" + label + "}";
 }

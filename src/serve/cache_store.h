@@ -2,7 +2,7 @@
 // decomposition service, plus the canonical witness representation the
 // two cache levels share.
 //
-// Level 1 (memory) is the sharded DecompCache: whole-instance entries
+// Level 1 (memory) is the DecompCache: whole-instance entries
 // keyed by the 128-bit content hash, each holding the decomposition as
 // a CachedSubtree (parent-first node order) and a packed meta word.
 // Level 2 (disk) stores, per key K under <dir>/<K[0:2]>/:

@@ -81,7 +81,7 @@ Json DecompositionService::HandleDecompose(const Json& request,
   double solve_ms = 0.0;
   bool have_witness = false;
 
-  // Level 1: sharded in-memory instance entries.
+  // Level 1: in-memory instance entries.
   int packed = 0;
   std::shared_ptr<const CachedSubtree> subtree;
   if (cache_.LookupInstance(norm.key_bits, &packed, &subtree) ==

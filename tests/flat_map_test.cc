@@ -58,7 +58,9 @@ TEST(BitsetFlatMapTest, RandomizedAgainstUnorderedMap) {
       const int* hit = m.Find(probe);
       auto ref_hit = ref.find(probe);
       EXPECT_EQ(ref_hit != ref.end(), hit != nullptr);
-      if (hit != nullptr) EXPECT_EQ(ref_hit->second, *hit);
+      if (hit != nullptr) {
+        EXPECT_EQ(ref_hit->second, *hit);
+      }
     }
     EXPECT_EQ(ref.size(), m.size());
     for (const auto& [k, v] : ref) {

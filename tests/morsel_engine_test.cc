@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -105,11 +106,12 @@ Relation NaiveProject(const Relation& a, const std::vector<int>& vars) {
   std::vector<int> pos;
   for (int v : vars) pos.push_back(a.IndexOf(v));
   Relation out(vars);
+  std::set<std::vector<int>> seen;
   std::vector<int> row(vars.size());
   for (int t = 0; t < a.Size(); ++t) {
     const int* ra = a.Row(t);
     for (size_t i = 0; i < pos.size(); ++i) row[i] = ra[pos[i]];
-    out.InsertIfAbsent(row.data());
+    if (seen.insert(row).second) out.AddRow(row.data());
   }
   return out;
 }
@@ -247,12 +249,7 @@ ChunkedRelation SpilledCopy(const Relation& r) {
   const int chunks = MorselCount(r.Size());
   out.ResizeChunks(chunks);
   for (int m = 0; m < chunks; ++m) {
-    const int rows = MorselAt(m, r.Size()).size();
-    const long long bytes =
-        static_cast<long long>(rows) * r.Arity() * sizeof(int);
-    const long long off = file->Allocate(bytes);
-    file->WriteAt(off, MorselData(r, m), static_cast<size_t>(bytes));
-    out.SetChunk(m, off, rows);
+    out.WriteChunk(m, MorselData(r, m), MorselAt(m, r.Size()).size());
   }
   out.FinishChunks();
   return out;
@@ -312,13 +309,8 @@ TEST_F(MorselEngineTest, ChunkedRoundTripResidentAndSpilled) {
   spilled.ResizeChunks(resident.NumChunks());
   std::vector<int> scratch;
   for (int i = 0; i < resident.NumChunks(); ++i) {
-    const int rows = resident.ChunkRows(i);
-    const int* data = resident.LoadChunk(i, &scratch);
-    const long long bytes =
-        static_cast<long long>(rows) * a.Arity() * sizeof(int);
-    const long long off = file->Allocate(bytes);
-    file->WriteAt(off, data, static_cast<size_t>(bytes));
-    spilled.SetChunk(i, off, rows);
+    spilled.WriteChunk(i, resident.LoadChunk(i, &scratch),
+                       resident.ChunkRows(i));
   }
   spilled.FinishChunks();
   EXPECT_TRUE(spilled.spilled());
@@ -331,6 +323,9 @@ TEST_F(MorselEngineTest, ChunkedRoundTripResidentAndSpilled) {
     const size_t values =
         static_cast<size_t>(resident.ChunkRows(i)) * a.Arity();
     EXPECT_EQ(0, std::memcmp(want, got, values * sizeof(int)));
+    // The recorded value range is the chunk's own.
+    EXPECT_EQ(spilled.ChunkValues(i).mn, ScanValues(want, values).mn);
+    EXPECT_EQ(spilled.ChunkValues(i).mx, ScanValues(want, values).mx);
   }
   Relation back = std::move(spilled).ToRelation();
   ExpectSame(a, back);
